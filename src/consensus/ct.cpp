@@ -14,7 +14,28 @@ enum MsgType : std::uint8_t {
   kNack = 4,      // phase 3: (r) -> coordinator
   kDecide = 5,    // (value), relayed on first receipt
   kAbstain = 6,   // (floor): sender votes in no instance k <= floor
+  kRejoin = 7,    // (floor): kAbstain from a just-restarted incarnation
 };
+
+Bytes estimate_msg(InstanceId k, std::uint32_t r, std::uint32_t ts,
+                   BytesView estimate) {
+  Writer w(estimate.size() + 24);
+  w.u8(kEst);
+  w.u64(k);
+  w.u32(r);
+  w.u32(ts);
+  w.blob(estimate);
+  return w.take();
+}
+
+Bytes proposal_msg(InstanceId k, std::uint32_t r, BytesView value) {
+  Writer w(value.size() + 16);
+  w.u8(kProposal);
+  w.u64(k);
+  w.u32(r);
+  w.blob(value);
+  return w.take();
+}
 }  // namespace
 
 CtConsensus::CtConsensus(runtime::Stack& stack, runtime::LayerId layer_id,
@@ -32,19 +53,35 @@ void CtConsensus::on_start() {
   // A restarted incarnation announces its abstention floor up front:
   // peers already running rounds of a barred instance may be waiting on
   // *us* as that round's coordinator, with nothing in flight that would
-  // trigger the reactive reply below.
+  // trigger the reactive reply below. The announcement also asks peers
+  // to re-send the round state our previous incarnation lost.
   if (floor_ == 0) return;
   const std::uint32_t n = ctx_.n();
   for (ProcessId p = 1; p <= n; ++p) {
-    if (p != ctx_.self()) send_abstain(p);
+    if (p != ctx_.self()) send_abstain(p, kRejoin);
   }
 }
 
-void CtConsensus::send_abstain(ProcessId dst) {
+void CtConsensus::send_abstain(ProcessId dst, std::uint8_t type) {
   Writer w(12);
-  w.u8(kAbstain);
+  w.u8(type);
   w.u64(floor_);
   ctx_.send(dst, w.take());
+}
+
+void CtConsensus::resend_round_state(ProcessId p) {
+  for (auto& [k, inst] : instances_) {
+    if (!inst.proposed || inst.decided || abstains(p, k)) continue;
+    const std::uint32_t r = inst.round;
+    if (r > 1 && coord_of(r) == p) {
+      ctx_.send(p, estimate_msg(k, r, inst.ts, inst.estimate));
+    }
+    const auto rd = inst.rounds.find(r);
+    if (coord_of(r) == ctx_.self() && rd != inst.rounds.end() &&
+        rd->second.estimate_c.has_value()) {
+      ctx_.send(p, proposal_msg(k, r, *rd->second.estimate_c));
+    }
+  }
 }
 
 bool CtConsensus::has_decided(InstanceId k) const {
@@ -78,13 +115,7 @@ void CtConsensus::enter_round(InstanceId k, Instance& inst,
 
   if (r > 1) {
     // Phase 1: send (estimate, ts) to the coordinator (loopback if self).
-    Writer w(inst.estimate.size() + 24);
-    w.u8(kEst);
-    w.u64(k);
-    w.u32(r);
-    w.u32(inst.ts);
-    w.blob(inst.estimate);
-    ctx_.send(coord, w.take());
+    ctx_.send(coord, estimate_msg(k, r, inst.ts, inst.estimate));
   }
 
   if (coord == ctx_.self()) {
@@ -92,12 +123,7 @@ void CtConsensus::enter_round(InstanceId k, Instance& inst,
       // Phase 2, first round: propose own estimate without gathering.
       RoundData& rd = inst.rounds[r];
       rd.estimate_c = inst.estimate;
-      Writer w(inst.estimate.size() + 16);
-      w.u8(kProposal);
-      w.u64(k);
-      w.u32(r);
-      w.blob(inst.estimate);
-      ctx_.send_to_all(w.take());
+      ctx_.send_to_all(proposal_msg(k, r, inst.estimate));
       inst.wait = Wait::kProposal;
       try_phase3(k, inst);
     } else {
@@ -114,7 +140,12 @@ void CtConsensus::enter_round(InstanceId k, Instance& inst,
 void CtConsensus::coordinator_try_phase2(InstanceId k, Instance& inst) {
   if (inst.wait != Wait::kEstimates) return;
   RoundData& rd = inst.rounds[inst.round];
-  if (rd.estimates.size() < majority(ctx_.n())) return;
+  if (rd.estimates.size() < majority(ctx_.n())) {
+    // Give the round up, as a crashed coordinator would, once a majority
+    // of estimates can no longer arrive.
+    if (round_out_of_reach(inst)) advance_round(k, inst);
+    return;
+  }
 
   // Select an estimate with the largest timestamp; break ties towards the
   // smallest sender id for determinism ("select one", Algorithm 2 l.18).
@@ -130,12 +161,7 @@ void CtConsensus::coordinator_try_phase2(InstanceId k, Instance& inst) {
   IBC_ASSERT(best != nullptr);
   rd.estimate_c = best->second.first;
 
-  Writer w(rd.estimate_c->size() + 16);
-  w.u8(kProposal);
-  w.u64(k);
-  w.u32(inst.round);
-  w.blob(*rd.estimate_c);
-  ctx_.send_to_all(w.take());
+  ctx_.send_to_all(proposal_msg(k, inst.round, *rd.estimate_c));
   inst.wait = Wait::kProposal;
   try_phase3(k, inst);
 }
@@ -157,9 +183,10 @@ void CtConsensus::try_phase3(InstanceId k, Instance& inst) {
     }
     phase3_reply(k, inst, accept);
   } else if (detector_.is_suspected(coord_of(inst.round)) ||
-             abstains(coord_of(inst.round), k)) {
+             abstains(coord_of(inst.round), k) || round_out_of_reach(inst)) {
     // An announced abstention is handled like a suspicion: the
-    // coordinator is alive but will never propose in this instance.
+    // coordinator is alive but will never propose in this instance. So
+    // is a round that can no longer decide.
     phase3_reply(k, inst, false);
   }
   // Otherwise keep waiting: a proposal arrival, a suspicion, or an
@@ -179,16 +206,21 @@ void CtConsensus::phase3_reply(InstanceId k, Instance& inst, bool ack) {
     inst.wait = Wait::kAcks;
     coordinator_try_phase4(k, inst);
   } else {
-    // Non-coordinators move on immediately; the round advance is deferred
-    // to keep recursion depth constant when several coordinators are
-    // suspected back-to-back.
-    inst.wait = Wait::kNone;
-    ctx_.defer([this, k, r] {
-      Instance& i = instance(k);
-      if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
-        enter_round(k, i, r + 1);
-    });
+    // Non-coordinators move on immediately.
+    advance_round(k, inst);
   }
+}
+
+void CtConsensus::advance_round(InstanceId k, Instance& inst) {
+  // Deferred to keep recursion depth constant when several coordinators
+  // are suspected back-to-back.
+  const std::uint32_t r = inst.round;
+  inst.wait = Wait::kNone;
+  ctx_.defer([this, k, r] {
+    Instance& i = instance(k);
+    if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
+      enter_round(k, i, r + 1);
+  });
 }
 
 void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
@@ -201,12 +233,7 @@ void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
     send_decide(k, value, ctx_.self());
     decide_instance(k, inst, value, ctx_.self());
   } else if (rd.nacked) {
-    inst.wait = Wait::kNone;
-    ctx_.defer([this, k, r] {
-      Instance& i = instance(k);
-      if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
-        enter_round(k, i, r + 1);
-    });
+    advance_round(k, inst);
   }
 }
 
@@ -229,9 +256,46 @@ void CtConsensus::decide_instance(InstanceId k, Instance& inst,
   inst.decision = to_bytes(value);
   inst.wait = Wait::kNone;
   inst.rounds.clear();
+  inst.heard_round = std::vector<std::uint32_t>();
   ctx_.log().logf(LogLevel::kDebug, "k=%llu decided (%zu bytes)",
                   static_cast<unsigned long long>(k), inst.decision.size());
   fire_decide(k, inst.decision);
+}
+
+void CtConsensus::note_round(InstanceId k, Instance& inst, ProcessId from,
+                             std::uint32_t round) {
+  if (inst.heard_round.empty()) inst.heard_round.assign(ctx_.n() + 1, 0);
+  if (round <= inst.heard_round[from]) return;
+  inst.heard_round[from] = round;
+  if (!inst.proposed || round <= inst.round) return;
+  if (inst.wait == Wait::kProposal) {
+    try_phase3(k, inst);
+  } else if (inst.wait == Wait::kEstimates) {
+    coordinator_try_phase2(k, inst);
+  }
+}
+
+bool CtConsensus::round_out_of_reach(const Instance& inst) const {
+  // A process heard from in a later round has left ours for good: it
+  // neither acks this round's proposal nor, if its estimate for this
+  // round is not here yet, ever sends it (it went to a previous
+  // incarnation of this process). A coordinator leaves a round only
+  // once the round failed.
+  if (inst.heard_round.empty()) return false;
+  const auto left = [&](ProcessId q) {
+    return inst.heard_round[q] > inst.round;
+  };
+  const ProcessId coord = coord_of(inst.round);
+  if (coord != ctx_.self() && left(coord)) return true;
+  const auto rd = inst.rounds.find(inst.round);
+  std::uint32_t reachable = 0;
+  for (ProcessId q = 1; q <= ctx_.n(); ++q) {
+    if (!left(q) || (rd != inst.rounds.end() &&
+                     rd->second.estimates.contains(q))) {
+      ++reachable;
+    }
+  }
+  return reachable < majority(ctx_.n());
 }
 
 void CtConsensus::on_suspicion(ProcessId p) {
@@ -248,7 +312,7 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
   const auto type = static_cast<MsgType>(r.u8());
   const InstanceId k = r.u64();
 
-  if (type == kAbstain) {
+  if (type == kAbstain || type == kRejoin) {
     // Here the u64 is the sender's participation floor, not an instance
     // id: `from` votes in no instance <= k. Record it and wake every
     // instance blocked in Phase 3 on `from` as coordinator.
@@ -262,6 +326,7 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
         }
       }
     }
+    if (type == kRejoin) resend_round_state(from);
     return;
   }
 
@@ -296,13 +361,16 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
     // Restart-amnesia floor (D6): this incarnation never proposes — and
     // so never acts — in this instance. Answer round traffic with an
     // abstain so the sender stops waiting on us (e.g. as coordinator).
-    if (from != ctx_.self()) send_abstain(from);
+    if (from != ctx_.self()) send_abstain(from, kAbstain);
     return;
   }
 
+  // Every remaining type is round traffic: (r, ...).
+  const std::uint32_t round = r.u32();
+  if (from != ctx_.self()) note_round(k, inst, from, round);
+
   switch (type) {
     case kEst: {
-      const std::uint32_t round = r.u32();
       const std::uint32_t ts = r.u32();
       Bytes estimate = r.blob();
       if (round < inst.round) return;  // stale
@@ -313,7 +381,6 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
       break;
     }
     case kProposal: {
-      const std::uint32_t round = r.u32();
       Bytes proposal = r.blob();
       if (round < inst.round) return;  // stale
       RoundData& rd = inst.rounds[round];
@@ -323,7 +390,6 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
     }
     case kAck:
     case kNack: {
-      const std::uint32_t round = r.u32();
       if (round < inst.round) return;  // stale
       RoundData& rd = inst.rounds[round];
       if (type == kAck)
@@ -336,6 +402,7 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
     }
     case kDecide:
     case kAbstain:
+    case kRejoin:
       IBC_UNREACHABLE("handled above");
   }
 }

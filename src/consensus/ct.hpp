@@ -28,6 +28,16 @@
 // estimate (estimate_p) — the subtlety §3.2.2 discusses — falls out of
 // routing the coordinator's own adoption through Phase 3 like everyone
 // else's.
+//
+// Crash-recovery (docs/PROTOCOL.md D6): a restarted incarnation lost
+// every round message sent to it while it was down, and a live process
+// is never suspected, so nothing else would tell it where an instance
+// stands. Two rules keep rounds moving: its start-up announcement makes
+// each peer re-send its current round's state (its estimate if the
+// restarter coordinates that round, its proposal if the peer does), and
+// a round is left once it can no longer decide — when its coordinator,
+// or too many processes for a majority, have been heard from in later
+// rounds (a coordinator only leaves a round once the round failed).
 #pragma once
 
 #include <cstdint>
@@ -104,6 +114,8 @@ class CtConsensus final : public runtime::Layer, public Consensus {
     std::uint32_t round = 0;
     Wait wait = Wait::kNone;
     std::map<std::uint32_t, RoundData> rounds;
+    /// [q]: highest round of q's round traffic received (sized lazily).
+    std::vector<std::uint32_t> heard_round;
   };
 
   ProcessId coord_of(std::uint32_t round) const {
@@ -116,13 +128,24 @@ class CtConsensus final : public runtime::Layer, public Consensus {
   void coordinator_try_phase2(InstanceId k, Instance& inst);
   void try_phase3(InstanceId k, Instance& inst);
   void phase3_reply(InstanceId k, Instance& inst, bool ack);
+  /// Leaves the current round (deferred) for the next one.
+  void advance_round(InstanceId k, Instance& inst);
   void coordinator_try_phase4(InstanceId k, Instance& inst);
   void decide_instance(InstanceId k, Instance& inst, BytesView value,
                        ProcessId relay_skip);
   void on_suspicion(ProcessId p);
+  /// Re-sends to a restarted `p` what this process already sent for its
+  /// current round of every open instance above p's floor.
+  void resend_round_state(ProcessId p);
+  /// Records that `from` has reached `round` in instance `k`.
+  void note_round(InstanceId k, Instance& inst, ProcessId from,
+                  std::uint32_t round);
+  /// True iff the current round can no longer decide: its coordinator,
+  /// or too many processes for a majority, are known to have left it.
+  bool round_out_of_reach(const Instance& inst) const;
 
   void send_decide(InstanceId k, BytesView value, ProcessId skip);
-  void send_abstain(ProcessId dst);
+  void send_abstain(ProcessId dst, std::uint8_t type);
   /// True iff `q` announced it abstains from instance `k`.
   bool abstains(ProcessId q, InstanceId k) const {
     return k <= abstain_floor_[q];

@@ -4,7 +4,8 @@
 //   received    messages R-delivered but whose payload is still needed
 //   unordered   ids received but not yet ordered (consensus proposals)
 //   ordered     ids ordered by consensus but not yet A-delivered
-//   (delivered) ids already A-delivered (implicit in the pseudocode)
+//   (delivered) ids already A-delivered (implicit in the pseudocode;
+//               kept as per-origin seq runs, core/delivered_ids.hpp)
 //
 // and the two rules:
 //   * run consensus instance k = 1, 2, ... whenever unordered ≠ ∅
@@ -58,6 +59,7 @@
 #include <vector>
 
 #include "consensus/consensus.hpp"
+#include "core/delivered_ids.hpp"
 #include "core/id_set.hpp"
 #include "core/journal.hpp"
 #include "util/bytes.hpp"
@@ -82,7 +84,7 @@ class OrderingCore {
 
   /// State rebuilt from snapshot + log replay (src/recovery/).
   struct Restored {
-    std::vector<MessageId> delivered;  // batch ids A-delivered pre-crash
+    DeliveredIds delivered;  // batches A-delivered pre-crash
     std::uint64_t msgs_delivered = 0;
     std::vector<MessageId> ordered;  // undelivered backlog, in order
     consensus::InstanceId applied_k = 0;
@@ -142,10 +144,8 @@ class OrderingCore {
   /// First ordered-but-undelivered id, if any (a permanently stuck head
   /// is how the §2.2 validity violation manifests).
   std::optional<MessageId> blocked_head() const;
-  /// Delivered batch-id set (snapshot capture).
-  const std::unordered_set<MessageId>& delivered_set() const {
-    return delivered_;
-  }
+  /// Delivered batches as per-origin seq runs (snapshot capture).
+  const DeliveredIds& delivered_ids() const { return delivered_; }
   /// Ordered-but-undelivered backlog in delivery order (snapshot
   /// capture).
   const std::deque<MessageId>& ordered_entries() const { return ordered_; }
@@ -189,7 +189,7 @@ class OrderingCore {
   /// Batch id -> constituent payloads (shared views of the R-delivered
   /// frame), pending A-delivery.
   std::unordered_map<MessageId, std::vector<Payload>> received_;
-  std::unordered_set<MessageId> delivered_;  // batch ids
+  DeliveredIds delivered_;
   std::uint64_t msgs_delivered_ = 0;
   IdSet unordered_;
   std::deque<MessageId> ordered_;

@@ -98,6 +98,11 @@ Scenario generate_scenario(std::uint64_t seed) {
       const TimePoint back = crash.at + milliseconds(restart_rng.next_in(30, 200));
       s.restarts.push_back(ClusterRestart{back, crash.process});
     }
+    // Drawn after the restarts so their times keep their old values.
+    static constexpr std::uint64_t kSnapshotCadences[] = {0, 1, 3, 16};
+    if (!s.restarts.empty()) {
+      s.snapshot_every = kSnapshotCadences[restart_rng.next_below(4)];
+    }
   }
 
   // Fault schedule: 0..5 events over the traffic window. Durations and
@@ -171,7 +176,9 @@ RunResult run_scenario(const Scenario& scenario) {
   const bool recovery_on = !scenario.restarts.empty() &&
                            choice.variant == abcast::Variant::kIndirect;
   if (recovery_on) {
-    options.with_recovery();
+    recovery::Config rec;
+    rec.snapshot_every = scenario.snapshot_every;
+    options.with_recovery(rec);
     options.restarts = scenario.restarts;
   }
   Cluster cluster(options);
@@ -397,6 +404,10 @@ std::string to_text(const Scenario& scenario) {
   for (const ClusterRestart& r : scenario.restarts) {
     out << "restart " << r.at << " " << r.process << "\n";
   }
+  // Like "host": absent at the default, so older repro files round-trip.
+  if (scenario.snapshot_every != 0) {
+    out << "snapshot " << scenario.snapshot_every << "\n";
+  }
   for (const net::FaultEvent& e : scenario.faults.events) {
     out << "fault " << net::to_text(e) << "\n";
   }
@@ -461,6 +472,8 @@ std::optional<Scenario> parse_scenario(std::string_view text) {
         return std::nullopt;
       }
       s.restarts.push_back(r);
+    } else if (key == "snapshot") {
+      if (!(fields >> s.snapshot_every)) return std::nullopt;
     } else if (key == "fault") {
       std::string rest;
       std::getline(fields, rest);

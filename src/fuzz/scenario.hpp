@@ -67,6 +67,10 @@ struct Scenario {
   /// on indirect-variant stacks — the recovery subsystem journals the
   /// decided *id* order, which the direct (kMsgs) variant doesn't have.
   std::vector<ClusterRestart> restarts;
+  /// recovery::Config::snapshot_every for restart-bearing runs (0 =
+  /// never snapshot): nonzero cadences make restarts load a snapshot
+  /// and replay only the log tail after it.
+  std::uint64_t snapshot_every = 0;
   net::FaultPlan faults;
   /// Host the scenario runs on. kSim (the default, and what
   /// generate_scenario emits) is the deterministic simulator; kTcp runs
@@ -102,8 +106,9 @@ struct RunResult {
 
 /// Draws a random scenario from `seed`: stack × n ∈ [3,5] × W ∈ {1,8} ×
 /// B ∈ {1,4}, a resilience-respecting crash schedule (about half the
-/// crashes on indirect stacks gain a later restart), and 0–5 fault
-/// events across every FaultKind. Same seed, same scenario.
+/// crashes on indirect stacks gain a later restart, with a snapshot
+/// cadence from {0, 1, 3, 16}), and 0–5 fault events across every
+/// FaultKind. Same seed, same scenario.
 Scenario generate_scenario(std::uint64_t seed);
 
 /// Builds, runs, and checks one scenario. Deterministic: equal

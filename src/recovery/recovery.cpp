@@ -34,7 +34,7 @@ void RecoveryManager::replay() {
     r.msgs_delivered = snap->msgs_delivered;
     reserved_seq_ = snap->reserved_seq;
     floor = snap->wal_floor;
-    r.delivered.assign(snap->delivered.begin(), snap->delivered.end());
+    r.delivered = std::move(snap->delivered);
     ordered = std::move(snap->ordered);
   }
   for (const std::string& name : dir_.list()) {
@@ -73,7 +73,8 @@ void RecoveryManager::replay() {
             IBC_ASSERT_MSG(head < ordered.size() && ordered[head] == id,
                            "deliver record matches the backlog head");
             ++head;
-            r.delivered.push_back(id);
+            IBC_ASSERT_MSG(r.delivered.insert(id, msgs),
+                           "deliver records never overlap");
             r.msgs_delivered += msgs;
             break;
           }
@@ -164,9 +165,7 @@ void RecoveryManager::take_snapshot() {
   snap.reserved_seq = reserved_seq_;
   snap.msgs_delivered = core_->msgs_delivered();
   snap.wal_floor = log_.current_index();
-  std::vector<MessageId> delivered(core_->delivered_set().begin(),
-                                   core_->delivered_set().end());
-  snap.delivered = core::IdSet::from_unsorted(std::move(delivered));
+  snap.delivered = core_->delivered_ids();  // O(runs), not O(history)
   snap.ordered.assign(core_->ordered_entries().begin(),
                       core_->ordered_entries().end());
   store::write_snapshot(dir_, snap, ++snapshot_index_);

@@ -115,6 +115,8 @@ class RecoveryManager final : public core::OrderingJournal {
   }
 
   Counters counters() const;
+  /// The durable store this incarnation journals into.
+  const store::Dir& dir() const { return dir_; }
 
  private:
   void replay();

@@ -4,14 +4,36 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace ibc::store {
 
 namespace {
-constexpr std::uint8_t kSnapshotVersion = 1;
+constexpr std::uint8_t kSnapshotVersion = 2;
 constexpr const char* kTmpName = "snap-tmp";
+/// Version byte + applied_k, opened_k, reserved_seq, msgs_delivered +
+/// wal_floor.
+constexpr std::size_t kFixedFields = 1 + 4 * 8 + 4;
+
+/// Version 1's delivered set: a strictly increasing id list, one batch
+/// head per entry. Each head becomes a one-seq run — exact, since
+/// membership is only ever asked of batch heads.
+std::optional<core::DeliveredIds> decode_v1_delivered(Reader& r) {
+  if (r.remaining() < 4) return std::nullopt;
+  const std::uint32_t count = r.u32();
+  if (r.remaining() / 12 < count) return std::nullopt;
+  core::DeliveredIds delivered;
+  MessageId prev{};
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const MessageId id = r.message_id();
+    if (i > 0 && !(prev < id)) return std::nullopt;
+    delivered.insert(id, 1);
+    prev = id;
+  }
+  return delivered;
+}
 }  // namespace
 
 std::string snapshot_name(std::uint32_t index) {
@@ -36,7 +58,7 @@ Bytes encode_snapshot(const Snapshot& snap) {
   body.u64(snap.reserved_seq);
   body.u64(snap.msgs_delivered);
   body.u32(snap.wal_floor);
-  snap.delivered.serialize(body);
+  snap.delivered.serialize(body);  // O(runs), not O(history)
   body.u32(static_cast<std::uint32_t>(snap.ordered.size()));
   for (const MessageId& id : snap.ordered) body.message_id(id);
   const Bytes bytes = body.take();
@@ -56,15 +78,25 @@ std::optional<Snapshot> decode_snapshot(BytesView file) {
   const BytesView body = file.subspan(8, len);
   if (crc32(body) != crc) return std::nullopt;
   Reader r(body);
-  if (r.u8() != kSnapshotVersion) return std::nullopt;
+  if (r.remaining() < kFixedFields) return std::nullopt;
+  const std::uint8_t version = r.u8();
+  if (version != 1 && version != kSnapshotVersion) return std::nullopt;
   Snapshot snap;
   snap.applied_k = r.u64();
   snap.opened_k = r.u64();
   snap.reserved_seq = r.u64();
   snap.msgs_delivered = r.u64();
   snap.wal_floor = r.u32();
-  snap.delivered = core::IdSet::deserialize(r);
+  std::optional<core::DeliveredIds> delivered =
+      version == 1 ? decode_v1_delivered(r)
+                   : core::DeliveredIds::deserialize(r);
+  if (!delivered.has_value()) return std::nullopt;
+  snap.delivered = std::move(*delivered);
+  if (r.remaining() < 4) return std::nullopt;
   const std::uint32_t ordered = r.u32();
+  if (r.remaining() != static_cast<std::size_t>(ordered) * 12) {
+    return std::nullopt;
+  }
   snap.ordered.reserve(ordered);
   for (std::uint32_t i = 0; i < ordered; ++i) {
     snap.ordered.push_back(r.message_id());

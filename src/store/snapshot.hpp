@@ -7,13 +7,21 @@
 // to their final indexed name — and the previous snapshot plus the
 // segments it covers are deleted only after the new one is durable, so a
 // crash at any point leaves a loadable (snapshot?, segments) pair.
+//
+// Body layout (version 2): `u8 version, u64 applied_k, u64 opened_k,
+// u64 reserved_seq, u64 msgs_delivered, u32 wal_floor`, the delivered
+// set as per-origin seq runs (core::DeliveredIds::serialize), then
+// `u32 count` + the ordered backlog's ids. Its size is O(origins + gaps
+// + backlog), independent of how much history was delivered. Version 1
+// stored the delivered set as a sorted id list (`u32 count` + ids); it
+// still decodes, each id becoming a one-seq run.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "core/id_set.hpp"
+#include "core/delivered_ids.hpp"
 #include "store/storage.hpp"
 #include "util/types.hpp"
 
@@ -31,9 +39,9 @@ struct Snapshot {
   std::uint64_t msgs_delivered = 0;
   /// First log segment replay must visit.
   std::uint32_t wal_floor = 1;
-  /// Batch ids A-delivered — the dedup set (delivered-prefix
-  /// high-water: its size is the number of ordering entries consumed).
-  core::IdSet delivered;
+  /// Batches A-delivered — the dedup set (its size is the number of
+  /// ordering entries consumed).
+  core::DeliveredIds delivered;
   /// Ordered-but-undelivered backlog, in delivery order.
   std::vector<MessageId> ordered;
 };
@@ -41,7 +49,8 @@ struct Snapshot {
 /// Canonical CRC-framed encoding (the whole file).
 Bytes encode_snapshot(const Snapshot& snap);
 
-/// Decodes a snapshot file; nullopt on truncation or CRC mismatch.
+/// Decodes a snapshot file (version 1 or 2); nullopt on truncation, CRC
+/// mismatch, an unknown version or a non-canonical body. Never asserts.
 std::optional<Snapshot> decode_snapshot(BytesView file);
 
 /// Durably publishes `snap` as `snap-<index>.img` (tmp + sync + rename)

@@ -170,6 +170,7 @@ TEST(FuzzOracle, ScenarioTextRoundTrips) {
     EXPECT_EQ(back->msgs_per_sender, s.msgs_per_sender);
     EXPECT_EQ(back->traffic_window_ms, s.traffic_window_ms);
     EXPECT_EQ(back->inject_skip_dedup, s.inject_skip_dedup);
+    EXPECT_EQ(back->snapshot_every, s.snapshot_every);
     ASSERT_EQ(back->crashes.size(), s.crashes.size());
     for (std::size_t i = 0; i < s.crashes.size(); ++i) {
       EXPECT_EQ(back->crashes[i].at, s.crashes[i].at);
@@ -199,6 +200,7 @@ TEST(FuzzOracle, ScenarioTextRoundTrips) {
 /// restart path too.
 TEST(FuzzRestart, RestartBearingSchedulesRecoverExactlyOnce) {
   std::size_t with_restarts = 0;
+  std::size_t snapshotted = 0;
   for (std::uint64_t seed = 1; seed <= 120 && with_restarts < 12; ++seed) {
     const Scenario scenario = generate_scenario(seed);
     if (scenario.restarts.empty()) continue;
@@ -208,10 +210,37 @@ TEST(FuzzRestart, RestartBearingSchedulesRecoverExactlyOnce) {
     ASSERT_TRUE(result.ok()) << violations_text(result) << repro(scenario);
     // Recovery actually engaged: the restarted incarnation journaled.
     EXPECT_GT(result.stats.log_appends, 0u) << repro(scenario);
+    if (result.stats.snapshot_count > 0) ++snapshotted;
   }
   ASSERT_GE(with_restarts, 3u)
       << "the generator almost never emits restarts — restart coverage "
          "is vacuous";
+  // Snapshot cadences are drawn too, so restore-from-snapshot runs
+  // under the same oracle.
+  EXPECT_GE(snapshotted, 1u) << "no restart schedule ever took a snapshot";
+}
+
+/// Shrunk repros of schedules that wedged CT rounds on a restart: the
+/// restarted process lost round messages sent to its previous
+/// incarnation — a round-1 proposal (seed 1889), the estimates for a
+/// round it coordinates (seed 506), and both while a majority had moved
+/// on (seed 4738). docs/PROTOCOL.md D6, "Lost round messages (CT)".
+TEST(FuzzRestart, RestartedProcessRecoversLostRoundMessages) {
+  const char* const repros[] = {
+      "scenario v1\nseed 1889\nstack 5\nn 3\npipeline 1\nbatch 4\n"
+      "msgs 5\nwindow 300\ncrash 142000000 3\nrestart 241000000 3\n",
+      "scenario v1\nseed 506\nstack 5\nn 4\npipeline 1\nbatch 4\n"
+      "msgs 7\nwindow 300\ncrash 89000000 4\nrestart 178000000 4\n",
+      "scenario v1\nseed 4738\nstack 5\nn 5\npipeline 8\nbatch 1\n"
+      "msgs 5\nwindow 300\ncrash 114000000 5\ncrash 39000000 4\n"
+      "restart 187000000 4\n",
+  };
+  for (const char* text : repros) {
+    const std::optional<Scenario> scenario = parse_scenario(text);
+    ASSERT_TRUE(scenario.has_value()) << text;
+    const RunResult result = run_scenario(*scenario);
+    EXPECT_TRUE(result.ok()) << violations_text(result) << repro(*scenario);
+  }
 }
 
 TEST(FuzzRestart, ReplayDeterminismHoldsForRestartSeeds) {

@@ -207,8 +207,9 @@ Snapshot example_snapshot() {
   snap.reserved_seq = 1024;
   snap.msgs_delivered = 99;
   snap.wal_floor = 7;
-  snap.delivered = core::IdSet::from_unsorted(
-      {MessageId{1, 5}, MessageId{2, 3}, MessageId{1, 2}});
+  snap.delivered.insert(MessageId{1, 5}, 1);
+  snap.delivered.insert(MessageId{2, 3}, 4);
+  snap.delivered.insert(MessageId{1, 2}, 2);
   snap.ordered = {MessageId{3, 1}, MessageId{1, 9}};
   return snap;
 }
@@ -223,8 +224,72 @@ TEST(Snapshot, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded->reserved_seq, snap.reserved_seq);
   EXPECT_EQ(decoded->msgs_delivered, snap.msgs_delivered);
   EXPECT_EQ(decoded->wal_floor, snap.wal_floor);
-  EXPECT_EQ(decoded->delivered.size(), snap.delivered.size());
+  EXPECT_EQ(decoded->delivered, snap.delivered);
+  EXPECT_EQ(decoded->delivered.size(), 3u);
   EXPECT_EQ(decoded->ordered, snap.ordered);
+}
+
+/// CRC-frames a hand-built snapshot body the way write_snapshot does.
+Bytes frame_snapshot_body(BytesView body) {
+  Writer file;
+  file.u32(static_cast<std::uint32_t>(body.size()));
+  file.u32(crc32(body));
+  file.raw(body);
+  return file.take();
+}
+
+TEST(Snapshot, DecodesVersionOneIdList) {
+  // A snapshot written before the delivered set became seq runs: the
+  // set is a sorted list of batch-head ids. Each decodes to a one-seq
+  // run, so every head is still a member and nothing else is.
+  Writer body;
+  body.u8(1);     // version
+  body.u64(42);   // applied_k
+  body.u64(43);   // opened_k
+  body.u64(1024); // reserved_seq
+  body.u64(99);   // msgs_delivered
+  body.u32(7);    // wal_floor
+  body.u32(3);    // delivered ids, sorted
+  body.message_id(MessageId{1, 2});
+  body.message_id(MessageId{1, 5});
+  body.message_id(MessageId{2, 3});
+  body.u32(2);    // ordered backlog
+  body.message_id(MessageId{3, 1});
+  body.message_id(MessageId{1, 9});
+  const Bytes file = frame_snapshot_body(body.view());
+
+  const std::optional<Snapshot> decoded = decode_snapshot(BytesView(file));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->applied_k, 42u);
+  EXPECT_EQ(decoded->opened_k, 43u);
+  EXPECT_EQ(decoded->reserved_seq, 1024u);
+  EXPECT_EQ(decoded->msgs_delivered, 99u);
+  EXPECT_EQ(decoded->wal_floor, 7u);
+  EXPECT_EQ(decoded->delivered.size(), 3u);
+  EXPECT_EQ(decoded->delivered.run_count(), 3u);
+  for (const MessageId& id :
+       {MessageId{1, 2}, MessageId{1, 5}, MessageId{2, 3}}) {
+    EXPECT_TRUE(decoded->delivered.contains(id)) << to_string(id);
+  }
+  for (const MessageId& id : {MessageId{1, 3}, MessageId{1, 4},
+                              MessageId{2, 4}, MessageId{3, 1}}) {
+    EXPECT_FALSE(decoded->delivered.contains(id)) << to_string(id);
+  }
+  EXPECT_EQ(decoded->ordered,
+            (std::vector<MessageId>{MessageId{3, 1}, MessageId{1, 9}}));
+
+  // A v1 list that is not strictly sorted is rejected, not asserted on.
+  Writer unsorted;
+  unsorted.u8(1);
+  for (int i = 0; i < 4; ++i) unsorted.u64(0);
+  unsorted.u32(1);
+  unsorted.u32(2);
+  unsorted.message_id(MessageId{1, 5});
+  unsorted.message_id(MessageId{1, 2});
+  unsorted.u32(0);
+  EXPECT_FALSE(
+      decode_snapshot(BytesView(frame_snapshot_body(unsorted.view())))
+          .has_value());
 }
 
 TEST(Snapshot, DecodeRejectsCorruptionAndTruncation) {
