@@ -17,11 +17,10 @@
 //       rung of a geometric offered-load ladder that drains within the
 //       straggler tolerance;
 //   (b) sim, Setup 1: mean latency at a moderate fixed load — what the
-//       batch delay costs when the system is *not* saturated;
-//   (c) loopback TCP: delivered throughput at a fixed high offered load
-//       (wall-clock, indicative — see docs/BENCHMARKS.md).
+//       batch delay costs when the system is *not* saturated.
+// Batching on loopback TCP is fig10_transport's subject.
 //
-// Run with --smoke for the CI-sized sim-only variant.
+// Run with --smoke for the CI-sized variant.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -35,7 +34,7 @@ using namespace ibc;
 constexpr std::size_t kPayloadBytes = 32;
 
 abcast::StackConfig stack_for(std::size_t batch_msgs, std::uint32_t window,
-                              const net::NetModel& model, bool tcp) {
+                              const net::NetModel& model) {
   abcast::StackConfig config =
       workload::indirect_ct(model, abcast::RbKind::kFloodN2);
   config.pipeline_depth = window;
@@ -43,23 +42,16 @@ abcast::StackConfig stack_for(std::size_t batch_msgs, std::uint32_t window,
   // 2 ms of extra sender-side latency buys batch formation at high load;
   // panel (b) shows what it costs when load is low.
   config.batch.max_delay = milliseconds(2);
-  if (tcp) {
-    config.heartbeat.interval = milliseconds(20);
-    config.heartbeat.initial_timeout = milliseconds(200);
-  }
   return config;
 }
 
 workload::ExperimentResult run_point(std::size_t batch_msgs,
                                      std::uint32_t window, double offered,
-                                     const workload::SweepOptions& opt,
-                                     runtime::HostKind host) {
+                                     const workload::SweepOptions& opt) {
   workload::ExperimentConfig cfg;
   cfg.n = 3;
-  cfg.host = host;
   cfg.model = net::NetModel::setup1();
-  cfg.stack = stack_for(batch_msgs, window, cfg.model,
-                        host == runtime::HostKind::kTcp);
+  cfg.stack = stack_for(batch_msgs, window, cfg.model);
   cfg.payload_bytes = kPayloadBytes;
   cfg.throughput_msgs_per_sec = offered;
   cfg.warmup = opt.warmup;
@@ -86,7 +78,7 @@ Sustained sustained_throughput(std::size_t batch_msgs, std::uint32_t window,
   out.ladder_capped = true;
   for (const double offered : ladder) {
     const workload::ExperimentResult r =
-        run_point(batch_msgs, window, offered, opt, runtime::HostKind::kSim);
+        run_point(batch_msgs, window, offered, opt);
     if (workload::point_saturated(r, opt)) {
       out.ladder_capped = false;
       break;
@@ -103,12 +95,12 @@ int main(int argc, char** argv) {
   using namespace ibc;
   const bool smoke = workload::parse_smoke_flag(argc, argv);
   workload::BenchReport report("fig9_batching", argc, argv);
-  report.meta("host", smoke ? "sim" : "sim + tcp");
+  report.meta("host", "sim");
   report.meta("n", "3");
   report.meta("model", "setup1");
   report.meta("stack",
               abcast::describe(stack_for(/*batch_msgs=*/16, /*window=*/4,
-                                         net::NetModel::setup1(), false)));
+                                         net::NetModel::setup1())));
   report.meta("payload_bytes", std::to_string(kPayloadBytes));
 
   const std::vector<double> batches =
@@ -182,8 +174,7 @@ int main(int argc, char** argv) {
       workload::Series s{"mean latency [ms], W=" + std::to_string(w), {}};
       for (const double b : batches) {
         const workload::ExperimentResult r =
-            run_point(static_cast<std::size_t>(b), w, moderate, opt,
-                      runtime::HostKind::kSim);
+            run_point(static_cast<std::size_t>(b), w, moderate, opt);
         s.values.push_back(workload::point_saturated(r, opt)
                                ? workload::saturated_marker()
                                : r.mean_latency_ms);
@@ -194,31 +185,6 @@ int main(int argc, char** argv) {
         "Figure 9b: mean latency at a moderate load vs batch size "
         "(the cost of the 2 ms batch delay off-saturation), n=3, Setup 1",
         "B", batches, latency);
-  }
-
-  // --------------------------------------------------- (c) loopback TCP
-  if (!smoke) {
-    workload::SweepOptions tcp_opt;
-    tcp_opt.warmup = milliseconds(500);
-    tcp_opt.measure = milliseconds(1500);
-    tcp_opt.drain = seconds(1);
-    const double offered = 3000;
-    std::vector<workload::Series> tcp_series;
-    for (const std::uint32_t w : windows) {
-      workload::Series s{"delivered tput [msg/s], W=" + std::to_string(w),
-                         {}};
-      for (const double b : batches) {
-        const workload::ExperimentResult r =
-            run_point(static_cast<std::size_t>(b), w, offered, tcp_opt,
-                      runtime::HostKind::kTcp);
-        s.values.push_back(r.delivered_throughput);
-      }
-      tcp_series.push_back(std::move(s));
-    }
-    report.table(
-        "Figure 9c: delivered throughput at 3000 msg/s offered, n=3, "
-        "loopback TCP (wall-clock, indicative)",
-        "B", batches, tcp_series);
   }
 
   report.note("workload",

@@ -72,17 +72,19 @@ Fd try_connect_loopback(std::uint16_t port) {
 }
 
 DialResult dial_loopback_hello(
-    std::uint16_t port, std::uint32_t hello,
-    std::chrono::steady_clock::time_point deadline) {
+    const std::function<std::optional<std::uint16_t>()>& port,
+    std::uint32_t hello, std::chrono::steady_clock::time_point deadline) {
   DialResult result;
   std::uint64_t jitter_state =
-      static_cast<std::uint64_t>(port) ^
+      static_cast<std::uint64_t>(hello) ^
       static_cast<std::uint64_t>(
           std::chrono::steady_clock::now().time_since_epoch().count());
   std::int64_t backoff_us = 2000;
   while (true) {
+    const std::optional<std::uint16_t> current = port();
+    if (!current) return result;
     ++result.attempts;
-    Fd fd = try_connect_loopback(port);
+    Fd fd = try_connect_loopback(*current);
     if (fd.valid()) {
       if (::write(fd.get(), &hello, sizeof hello) == sizeof hello) {
         result.fd = std::move(fd);
@@ -104,25 +106,6 @@ Fd accept_one(const Fd& listener) {
   Fd fd(::accept(listener.get(), nullptr, nullptr));
   IBC_REQUIRE_MSG(fd.valid(), "accept failed");
   return fd;
-}
-
-bool read_exact(const Fd& fd, void* buf, std::size_t len, int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  auto* out = static_cast<std::uint8_t*>(buf);
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t r = ::recv(fd.get(), out + got, len - got, 0);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;  // EOF, timeout, or error
-  }
-  return true;
 }
 
 void make_nonblocking_nodelay(const Fd& fd) {

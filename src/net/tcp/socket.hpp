@@ -3,6 +3,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <utility>
 
 namespace ibc::net::tcp {
@@ -58,19 +60,17 @@ struct DialResult {
   int attempts = 0;
 };
 
-/// Dials 127.0.0.1:port and writes the 4-byte mesh hello, retrying with
+/// Dials 127.0.0.1 and writes the 4-byte mesh hello, retrying with
 /// capped exponential backoff (2 ms doubling to 250 ms, ±50% jitter)
-/// until `deadline`. The jitter keeps a herd of simultaneously
-/// restarted ranks from re-dialing each other in lockstep; its stream
-/// is seeded off the port and the clock — dial pacing is wall-clock
-/// territory, determinism is not at stake here.
-DialResult dial_loopback_hello(std::uint16_t port, std::uint32_t hello,
-                               std::chrono::steady_clock::time_point deadline);
-
-/// Reads exactly `len` bytes from a blocking socket, giving up after
-/// `timeout_ms` of inactivity (SO_RCVTIMEO). Returns false on EOF,
-/// error, or timeout — the caller drops the connection.
-bool read_exact(const Fd& fd, void* buf, std::size_t len, int timeout_ms);
+/// until `deadline`. `port` is asked again before every attempt, so a
+/// peer that re-binds mid-retry is found; when it returns nullopt the
+/// peer has no listener and the dial stops at once. The jitter keeps a
+/// herd of simultaneously restarted ranks from re-dialing each other in
+/// lockstep; its stream is seeded off the hello and the clock — dial
+/// pacing is wall-clock territory, determinism is not at stake here.
+DialResult dial_loopback_hello(
+    const std::function<std::optional<std::uint16_t>()>& port,
+    std::uint32_t hello, std::chrono::steady_clock::time_point deadline);
 
 /// Switches a socket to non-blocking mode and disables Nagle.
 void make_nonblocking_nodelay(const Fd& fd);

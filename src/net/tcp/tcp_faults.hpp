@@ -19,8 +19,8 @@
 //                   reordering.
 //   kDuplicate      at most one extra copy, taking the same extra delay.
 //
-// The plan's [from, until) windows are relative to `origin` (the cluster
-// epoch for TcpCluster, the arming instant for a TcpProcess daemon).
+// The plan's [from, until) windows are relative to `origin`: the epoch
+// a TcpCluster's ranks share, or the arming instant of an ibcd rank.
 // Randomness comes from a dedicated adversary stream, exactly like
 // SimNetwork's fork: an empty plan means the stage does not exist and
 // the clean send path is a single null-pointer check.

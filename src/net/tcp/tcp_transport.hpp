@@ -1,11 +1,11 @@
 // Real TCP transport: the same protocol stacks over loopback sockets.
 //
-// `TcpCluster` hosts n processes inside one OS process, each with its own
-// reactor thread (poll loop) and a full mesh of TCP connections over
-// 127.0.0.1. It implements the same `runtime::Env` contract as the
-// simulator, so every layer — failure detector, broadcasts, consensus,
-// atomic broadcast — runs unmodified on real sockets: the Neko property
-// the paper's framework provides [9].
+// `TcpEnv` is one process's endpoint: a reactor thread (poll loop) that
+// owns the process's TCP links over 127.0.0.1. It implements the same
+// `runtime::Env` contract as the simulator, so every layer — failure
+// detector, broadcasts, consensus, atomic broadcast — runs unmodified on
+// real sockets: the Neko property the paper's framework provides [9].
+// The hosts that wire endpoints into a mesh live in tcp_process.hpp.
 //
 // Threading contract: each process's protocol code runs exclusively on
 // its reactor thread. External threads interact through `post` /
@@ -20,20 +20,11 @@
 // cross-thread senders take the mutex + wake-pipe route. Queued frames
 // are flushed with writev, many frames per syscall; a partial write
 // parks the remainder until POLLOUT.
-//
-// Lifecycle:
-//   TcpCluster cluster(n);          // mesh established, reactors idle
-//   ...build one stack per process on cluster.env(p)...
-//   cluster.start();                // reactors spin up
-//   cluster.run_on(p, [&]{ stack.start(); });    // per-process start
-//   ...cluster.post(p, ...) to broadcast, etc...
-//   cluster.kill(p);                // optional: crash a process
-//   ~TcpCluster                     // stops and joins all reactors
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,7 +45,29 @@
 
 namespace ibc::net::tcp {
 
-class TcpCluster;
+/// Nanoseconds on the steady clock: the epoch every TCP host's time is
+/// measured from.
+inline TimePoint steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// One endpoint's transport totals. The TcpEnv owns them, so they
+/// survive its restarts; the hosts sum them into runtime::HostCounters.
+struct TcpCounters {
+  std::atomic<std::uint64_t> messages_sent{0};
+  std::atomic<std::uint64_t> wire_bytes_sent{0};
+  std::atomic<std::uint64_t> frames_sent{0};
+  std::atomic<std::uint64_t> writev_calls{0};
+  std::atomic<std::uint64_t> wakeups{0};
+  std::atomic<std::uint64_t> dropped_fault{0};
+  std::atomic<std::uint64_t> duplicated_fault{0};
+  std::atomic<std::uint64_t> delayed_fault{0};
+  std::atomic<std::uint64_t> frames_rejected{0};
+
+  void add_to(runtime::HostCounters& total) const;
+};
 
 /// Env implementation backed by a reactor thread and TCP sockets.
 /// send/set_timer/cancel_timer/defer are thread-safe; receive and timer
@@ -83,18 +96,6 @@ class TcpEnv final : public runtime::Env {
   Rng& rng() override { return rng_; }
   const Logger& log() const override { return log_; }
 
-  /// Pre-start wiring seam for the multi-process host (`TcpProcess`):
-  /// installs an established, already-hello-identified connection as the
-  /// link to `peer`. Legal only while the reactor thread is not running.
-  void install_peer(ProcessId peer, Fd fd);
-
-  /// Hands the reactor a listening socket (multi-process mesh): incoming
-  /// connections are accepted on the reactor thread, identified by a
-  /// 4-byte hello (the dialer's rank), and installed as that rank's
-  /// link — replacing a dead slot when a restarted peer dials back in.
-  /// Call before the reactor starts; the listener is owned from then on.
-  void adopt_listener(Fd listener);
-
   /// Installs the adversary fault program on this env's outbound links:
   /// the same `net::FaultPlan` the simulator applies at the NIC exit
   /// runs here at the writev boundary (see tcp_faults.hpp). Plan windows
@@ -103,8 +104,9 @@ class TcpEnv final : public runtime::Env {
   /// Call before the reactor starts, or from the reactor thread.
   void set_fault_plan(FaultPlan plan, TimePoint origin);
 
+  const TcpCounters& counters() const { return counters_; }
+
  private:
-  friend class TcpCluster;
   friend class TcpProcess;
 
   /// One queued outbound frame: the 4-byte length header (the only
@@ -121,6 +123,14 @@ class TcpEnv final : public runtime::Env {
     bool open = false;
     bool has_backlog() const { return !outq.empty(); }
   };
+  /// An accepted connection whose 4-byte hello (the dialer's rank) has
+  /// not fully arrived. It waits in the poll set, never on the reactor.
+  struct PendingHello {
+    Fd fd;
+    std::array<std::uint8_t, 4> hello{};
+    std::size_t got = 0;
+    TimePoint deadline = 0;
+  };
   struct PendingTimer {
     TimePoint deadline;
     std::uint64_t seq;
@@ -131,6 +141,18 @@ class TcpEnv final : public runtime::Env {
                                         : seq > other.seq;
     }
   };
+
+  /// Installs an established, already-hello-identified connection as the
+  /// link to `peer`. Legal only while the reactor thread is not running.
+  void install_peer(ProcessId peer, Fd fd);
+  /// Hands the reactor a listening socket: incoming connections are
+  /// accepted, identified by their hello, and installed as that rank's
+  /// link — replacing a dead slot when a restarted peer dials back in.
+  /// Call before the reactor starts; the listener is owned from then on.
+  void adopt_listener(Fd listener);
+  /// Closes the link to `peer` as a crash would: later sends to it drop,
+  /// and its queued frames die with the channel. Idempotent.
+  void close_link(ProcessId peer);
 
   void start_thread();
   void request_stop();
@@ -170,9 +192,14 @@ class TcpEnv final : public runtime::Env {
   void flush_peer(ProcessId dst);
   void flush_all_peers();
   void handle_readable(ProcessId peer);
-  /// Drains the adopted listener: accepts pending connections, reads
-  /// each dialer's hello rank, installs the link (reactor thread only).
+  /// Accepts pending connections without blocking and reads whatever
+  /// has arrived of every pending hello; a complete hello installs its
+  /// link, EOF or a missed deadline drops the connection. Runs on the
+  /// reactor thread, or before it starts (the install_peer rule).
   void handle_accept();
+  /// Installs an accepted connection from `hello`, unless the lower
+  /// rank's dial already holds the slot (the redial tie-break).
+  void install_accepted(ProcessId hello, Fd conn);
 
   const ProcessId self_;
   const std::uint32_t n_;
@@ -180,10 +207,12 @@ class TcpEnv final : public runtime::Env {
   Rng rng_;
   Logger log_;
   ReceiveFn receive_;
+  TcpCounters counters_;
 
   std::vector<Peer> peers_;  // [1..n]; peers_[self_] unused
   Fd wake_r_, wake_w_;
-  Fd listener_;  // multi-process accept socket (invalid on TcpCluster)
+  Fd listener_;
+  std::vector<PendingHello> hellos_;  // reactor thread only
 
   /// One frame the fault stage parked. `recheck` distinguishes a
   /// buffering-partition hold (the release re-runs the checkpoint —
@@ -219,138 +248,12 @@ class TcpEnv final : public runtime::Env {
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t next_timer_seq_ = 0;
 
-  // Cluster-wide transport counters (owned by TcpCluster).
-  std::atomic<std::uint64_t>* messages_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* wire_bytes_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* frames_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* writev_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* wakeups_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* dropped_fault_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* duplicated_fault_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* delayed_fault_ctr_ = nullptr;
-
   // The reactor's thread id while the loop runs (default id otherwise).
-  // Read by TcpCluster::run_on without touching thread_, which a
-  // concurrent kill() may be joining.
+  // Read by TcpProcess::run_on without touching thread_, which a
+  // concurrent crash() may be joining.
   std::atomic<std::thread::id> reactor_tid_{};
 
   std::jthread thread_;  // joins on destruction (CP.25)
-};
-
-class TcpCluster final : public runtime::Host {
- public:
-  /// Establishes the full loopback mesh; reactors stay idle until
-  /// start().
-  explicit TcpCluster(std::uint32_t n, std::uint64_t seed = 1);
-
-  /// Stops and joins every reactor.
-  ~TcpCluster() override;
-
-  TcpCluster(const TcpCluster&) = delete;
-  TcpCluster& operator=(const TcpCluster&) = delete;
-
-  std::uint32_t n() const override {
-    return static_cast<std::uint32_t>(envs_.size() - 1);
-  }
-  runtime::Env& env(ProcessId p) override;
-
-  runtime::HostKind kind() const override {
-    return runtime::HostKind::kTcp;
-  }
-
-  /// Nanoseconds since the cluster was constructed (all processes share
-  /// the epoch).
-  TimePoint now() const override;
-
-  /// Launches the reactor threads. Build the protocol stacks (which call
-  /// env().set_receive) before this.
-  void start() override;
-
-  /// Cancels pending scheduled crashes, then stops and joins every
-  /// reactor. After this the stacks' state can be read without races.
-  /// Idempotent.
-  void shutdown() override;
-
-  /// Waits `d` of wall-clock time while the reactors make progress.
-  std::size_t run_for(Duration d) override;
-
-  /// Enqueues `fn` on p's reactor thread (fire and forget).
-  void post(ProcessId p, std::function<void()> fn);
-
-  /// Runs `fn` on p's reactor thread and blocks until it completed.
-  /// Returns without running `fn` if p is (or crashes while we wait)
-  /// dead.
-  void run_on(ProcessId p, std::function<void()> fn) override;
-
-  /// Simulated crash: stops p's reactor and closes its sockets; peers
-  /// observe the connection reset and the failure detector takes over.
-  void kill(ProcessId p);
-
-  void crash(ProcessId p) override { kill(p); }
-
-  /// Schedules a kill at absolute host time `t` on a watchdog thread.
-  void crash_at(TimePoint t, ProcessId p) override;
-
-  /// Revives a killed `p`: wipes the old incarnation's reactor state and
-  /// re-dials the loopback mesh (each live peer connects back from its
-  /// own reactor thread). On return a fresh protocol stack can be built
-  /// on env(p); messages peers send meanwhile wait in the socket buffers.
-  /// Call resume(p) afterwards to start the new reactor.
-  void restart(ProcessId p) override;
-
-  /// Starts p's new reactor thread and marks it alive again.
-  void resume(ProcessId p) override;
-
-  /// Runs `fn` at absolute host time `t` on a watchdog thread (the same
-  /// mechanism as crash_at). Call from the controlling thread only —
-  /// the watchdog list is not itself thread-safe.
-  void run_at(TimePoint t, std::function<void()> fn) override;
-
-  bool crashed(ProcessId p) const override;
-  std::uint32_t alive_count() const override;
-
-  runtime::HostCounters counters() const override;
-
-  /// Arms the same fault program on every process's outbound fault
-  /// stage, windows relative to the cluster epoch (construction time).
-  /// The plan survives kill/restart — a restarted incarnation rejoins
-  /// the same hostile wire, like the simulator. Call before start().
-  void set_fault_plan(const FaultPlan& plan);
-
-  /// Test seam (tcp_test): writes raw bytes on the mesh socket
-  /// src -> dst, on src's reactor thread so the write serializes with
-  /// the writev flush. Lets tests split a frame — header included —
-  /// across TCP segments and exercise the receiver's reassembly on a
-  /// real connection.
-  void write_raw_for_test(ProcessId src, ProcessId dst,
-                          const Bytes& bytes);
-
-  /// Test seam (tcp_test): tears down src's end of the src -> dst link
-  /// (dst observes a connection reset, as after a crash). Idempotent;
-  /// the rest of the mesh is untouched.
-  void close_link_for_test(ProcessId src, ProcessId dst);
-
- private:
-  TimePoint epoch_ns_ = 0;
-  std::vector<std::unique_ptr<TcpEnv>> envs_;  // [1..n]
-
-  mutable std::mutex state_mu_;    // guards the three members below
-  std::vector<bool> kill_started_;  // [1..n] kill() begun (idempotence)
-  std::vector<bool> killed_;        // [1..n] reactor joined: truly dead
-  bool shut_down_ = false;
-
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> wire_bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> writev_calls_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> dropped_fault_{0};
-  std::atomic<std::uint64_t> duplicated_fault_{0};
-  std::atomic<std::uint64_t> delayed_fault_{0};
-
-  // Pending crash_at watchdogs. Declared last: their jthread destructors
-  // request stop and join before anything else is torn down.
-  std::vector<std::jthread> watchdogs_;
 };
 
 }  // namespace ibc::net::tcp

@@ -54,6 +54,9 @@ struct HostCounters {
   std::uint64_t dropped_fault = 0;     // discarded by the fault plan
   std::uint64_t duplicated_fault = 0;  // extra copies the adversary made
   std::uint64_t delayed_fault = 0;     // held by a cut or delayed
+  // Input rejected from a peer (TCP only): a garbled frame stream closes
+  // that link instead of aborting the receiver.
+  std::uint64_t frames_rejected = 0;
 };
 
 class Host {

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -442,13 +443,20 @@ TEST_F(MultiprocessCrash, StaggeredSigkillsUnderFaultPlanExactlyOnce) {
 // kernel's choice, so concurrent clusters (ctest -j) can never collide
 // on a hard-coded port.
 TEST(TcpProcessPorts, KernelAssignsDistinctEphemeralPorts) {
-  net::tcp::TcpProcess a(1, 2);
-  net::tcp::TcpProcess b(2, 2);
-  const std::uint16_t port_a = a.bind_listener();
-  const std::uint16_t port_b = b.bind_listener();
-  EXPECT_NE(port_a, 0);
-  EXPECT_NE(port_b, 0);
-  EXPECT_NE(port_a, port_b);
+  std::vector<std::optional<std::uint16_t>> ports(3);
+  const net::tcp::PortBook book{
+      [&](ProcessId rank, std::uint16_t port) { ports[rank] = port; },
+      [&](ProcessId rank) { return ports[rank]; }};
+  net::tcp::TcpProcess a(1, 2, book);
+  net::tcp::TcpProcess b(2, 2, book);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  a.join_mesh(false, deadline);
+  b.join_mesh(false, deadline);
+  ASSERT_TRUE(ports[1].has_value() && ports[2].has_value());
+  EXPECT_NE(*ports[1], 0);
+  EXPECT_NE(*ports[2], 0);
+  EXPECT_NE(*ports[1], *ports[2]);
 }
 
 }  // namespace

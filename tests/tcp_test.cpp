@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -362,7 +364,7 @@ TEST(TcpCluster, ByteAtATimePartialFrameDeliveryOnTheWire) {
   encode_frame(bytes_of("split header"), wire);
   encode_frame(bytes_of("and split payload"), wire);
   for (const std::uint8_t b : wire) {
-    cluster.write_raw_for_test(1, 2, Bytes{b});
+    cluster.rank(1).write_raw_for_test(2, Bytes{b});
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   wait_for([&] {
@@ -453,8 +455,8 @@ TEST(TcpCluster, LinkTeardownIsIdempotentAndIsolated) {
   cluster.env(3).set_receive([](ProcessId, BytesView) {});
   cluster.start();
 
-  cluster.close_link_for_test(1, 2);
-  cluster.close_link_for_test(1, 2);  // duplicate teardown: no-op
+  cluster.rank(1).close_link_for_test(2);
+  cluster.rank(1).close_link_for_test(2);  // duplicate teardown: no-op
 
   cluster.run_on(1, [&] {
     cluster.env(1).send(2, bytes_of("into the void"));  // dropped
@@ -472,6 +474,105 @@ TEST(TcpCluster, LinkTeardownIsIdempotentAndIsolated) {
   ASSERT_EQ(at2.size(), 1u);
   EXPECT_EQ(at2[0].first, 3u);
   EXPECT_TRUE(bytes_equal(at2[0].second, bytes_of("unaffected")));
+}
+
+TEST(TcpCluster, GarbledLengthPrefixClosesOnlyThatLink) {
+  // A 4 GiB length prefix on the 1 -> 2 link is a stream no sender
+  // writes. Rank 2 must reject it as a reset of that link — counted,
+  // not asserted on — and keep hearing rank 3.
+  TcpCluster cluster(3);
+  std::mutex mu;
+  std::vector<std::pair<ProcessId, Bytes>> at2;
+  cluster.env(1).set_receive([](ProcessId, BytesView) {});
+  cluster.env(2).set_receive([&](ProcessId from, BytesView msg) {
+    const std::scoped_lock lock(mu);
+    at2.emplace_back(from, to_bytes(msg));
+  });
+  cluster.env(3).set_receive([](ProcessId, BytesView) {});
+  cluster.start();
+
+  cluster.rank(1).write_raw_for_test(2, Bytes{0xFF, 0xFF, 0xFF, 0xFF});
+  wait_for([&] { return cluster.counters().frames_rejected >= 1; });
+  cluster.run_on(3, [&] { cluster.env(3).send(2, bytes_of("still heard")); });
+  wait_for([&] {
+    const std::scoped_lock lock(mu);
+    return !at2.empty();
+  });
+
+  EXPECT_FALSE(cluster.crashed(2));
+  EXPECT_EQ(cluster.counters().frames_rejected, 1u);
+  const std::scoped_lock lock(mu);
+  ASSERT_EQ(at2.size(), 1u);
+  EXPECT_EQ(at2[0].first, 3u);
+  EXPECT_TRUE(bytes_equal(at2[0].second, bytes_of("still heard")));
+}
+
+TEST(TcpProcess, StrayConnectionDoesNotStallTheReactor) {
+  // A connection that never sends its hello waits in the poll set; the
+  // reactor keeps serving timers meanwhile instead of blocking on the
+  // hello read.
+  std::optional<std::uint16_t> port;
+  TcpProcess solo(1, 1,
+                  PortBook{[&](ProcessId, std::uint16_t p) { port = p; },
+                           [](ProcessId) {
+                             return std::optional<std::uint16_t>{};
+                           }});
+  solo.join_mesh(false, std::chrono::steady_clock::now());
+  ASSERT_TRUE(port.has_value());
+  solo.env(1).set_receive([](ProcessId, BytesView) {});
+  solo.start();
+
+  std::atomic<TimePoint> fired_at{-1};
+  const TimePoint set_at = solo.now();
+  solo.run_on(1, [&] {
+    solo.env(1).set_timer(milliseconds(10),
+                          [&] { fired_at = solo.now(); });
+  });
+  const Fd stray = connect_loopback(*port);  // never sends a hello
+  wait_for([&] { return fired_at.load() >= 0; });
+  ASSERT_GE(fired_at.load(), 0);
+  EXPECT_LT(fired_at.load() - set_at, milliseconds(100));
+}
+
+TEST(TcpCluster, BackToBackRestartsLinkTheRestartedPair) {
+  // Two ranks restart before either resumes. The second restart must
+  // dial the first (which already listens again), so the restarted pair
+  // ends up linked like every other pair.
+  TcpCluster cluster(3);
+  std::mutex mu;
+  std::vector<ProcessId> at3;
+  const auto ignore = [](ProcessId, BytesView) {};
+  const auto record = [&](ProcessId from, BytesView) {
+    const std::scoped_lock lock(mu);
+    at3.push_back(from);
+  };
+  cluster.env(1).set_receive(ignore);
+  cluster.env(2).set_receive(ignore);
+  cluster.env(3).set_receive(record);
+  cluster.start();
+
+  cluster.kill(2);
+  cluster.kill(3);
+  cluster.restart(2);
+  cluster.restart(3);
+  cluster.env(2).set_receive(ignore);
+  cluster.env(3).set_receive(record);
+  cluster.resume(2);
+  cluster.resume(3);
+
+  // The survivors accept the restarted ranks' dials on their reactors,
+  // asynchronously: keep sending until rank 3 hears the sender.
+  const auto heard_from = [&](ProcessId src) {
+    for (int i = 0; i < 200; ++i) {
+      cluster.run_on(src, [&] { cluster.env(src).send(3, bytes_of("hi")); });
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::scoped_lock lock(mu);
+      if (std::find(at3.begin(), at3.end(), src) != at3.end()) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(heard_from(1)) << "the survivor never linked to rank 3";
+  EXPECT_TRUE(heard_from(2)) << "the restarted pair 2-3 was left unlinked";
 }
 
 // --------------------------------------- link faults at the writev boundary
@@ -626,26 +727,42 @@ TEST(TcpFaults, DuplicateProgramDeliversTwiceAndCounts) {
 // --------------------------------- simultaneous-dial tie-break regression
 
 TEST(TcpHandshake, SimultaneousDialsConvergeOnLowerRanksConnection) {
-  // Both ranks dial each other in lockstep before either reactor runs —
-  // the classic simultaneous-redial shape. Each listener then accepts
-  // the other's connection while its own dialed one is already
+  // Both ranks rejoin at once and dial each other before either reactor
+  // runs — the classic simultaneous-redial shape. Each listener then
+  // accepts the other's connection while its own dialed one is already
   // installed. The accept-side tie-break must converge both ends onto
   // the lower rank's dialed connection (rank 2 accepts rank 1's, rank 1
   // refuses rank 2's) with no assertion and no torn-down mesh, and
   // traffic must flow both ways afterwards.
-  TcpProcess a(1, 2, 11);
-  TcpProcess b(2, 2, 11);
-  const std::uint16_t port_a = a.bind_listener();
-  const std::uint16_t port_b = b.bind_listener();
-
+  std::mutex ports_mu;
+  std::condition_variable published;
+  std::vector<std::optional<std::uint16_t>> ports(3);
+  // A lookup waits until the other rank listens, so both dial only once
+  // both listeners exist.
+  const PortBook book{
+      [&](ProcessId p, std::uint16_t port) {
+        const std::scoped_lock lock(ports_mu);
+        ports[p] = port;
+        published.notify_all();
+      },
+      [&](ProcessId q) {
+        std::unique_lock lock(ports_mu);
+        published.wait(lock, [&] { return ports[q].has_value(); });
+        return ports[q];
+      }};
+  TcpProcess a(1, 2, book, 11);
+  TcpProcess b(2, 2, book, 11);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  DialResult dial_a = dial_loopback_hello(port_b, 1, deadline);
-  DialResult dial_b = dial_loopback_hello(port_a, 2, deadline);
-  ASSERT_TRUE(dial_a.fd.valid());
-  ASSERT_TRUE(dial_b.fd.valid());
-  a.connect_peer(2, std::move(dial_a.fd));
-  b.connect_peer(1, std::move(dial_b.fd));
+  std::vector<TcpProcess::PeerDial> dials_a;
+  std::thread join_a([&] { dials_a = a.join_mesh(true, deadline); });
+  const std::vector<TcpProcess::PeerDial> dials_b =
+      b.join_mesh(true, deadline);
+  join_a.join();
+  ASSERT_EQ(dials_a.size(), 1u);
+  ASSERT_EQ(dials_b.size(), 1u);
+  ASSERT_TRUE(dials_a[0].connected);
+  ASSERT_TRUE(dials_b[0].connected);
 
   std::mutex mu;
   std::vector<std::uint32_t> at1, at2;

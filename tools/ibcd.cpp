@@ -35,7 +35,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -48,11 +47,9 @@
 
 #include "abcast/stack_builder.hpp"
 #include "net/faults.hpp"
-#include "net/tcp/socket.hpp"
 #include "net/tcp/tcp_process.hpp"
 #include "recovery/recovery.hpp"
 #include "store/storage.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace {
@@ -116,53 +113,6 @@ bool parse(int argc, char** argv, Options& opt) {
          !opt.dir.empty() && !opt.store.empty();
 }
 
-struct DialOutcome {
-  Fd fd;
-  int attempts = 0;
-};
-
-/// Dials rank `q` with capped exponential backoff (2 ms doubling to
-/// 250 ms, jittered) until `deadline`, re-reading `port.<q>` every
-/// attempt: after a storm of concurrent relaunches each rank's first
-/// reads see its peers' *stale* ports (dead listeners that refuse
-/// forever), so a fixed-port retry loop could never converge. The
-/// attempt count comes back for the caller's diagnostics either way.
-DialOutcome dial_peer(const Options& opt, ProcessId q,
-                      std::chrono::steady_clock::time_point deadline) {
-  DialOutcome out;
-  std::uint64_t jitter_state =
-      (static_cast<std::uint64_t>(opt.rank) << 32) ^
-      static_cast<std::uint64_t>(q) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count());
-  std::int64_t backoff_us = 2000;
-  while (true) {
-    ++out.attempts;
-    if (const auto port = read_port(opt.dir, q)) {
-      Fd fd = try_connect_loopback(*port);
-      if (fd.valid()) {
-        const std::uint32_t hello = opt.rank;
-        if (::write(fd.get(), &hello, sizeof hello) == sizeof hello) {
-          std::fprintf(stderr,
-                       "ibcd: rank %u connected to rank %u on port %u "
-                       "after %d attempt(s)\n",
-                       opt.rank, q, *port, out.attempts);
-          out.fd = std::move(fd);
-          return out;
-        }
-        fd.reset();  // reset between connect and hello: keep retrying
-      }
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return out;
-    const std::int64_t jitter =
-        static_cast<std::int64_t>(splitmix64(jitter_state) %
-                                  static_cast<std::uint64_t>(backoff_us)) -
-        backoff_us / 2;
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us + jitter));
-    backoff_us = std::min<std::int64_t>(backoff_us * 2, 250'000);
-  }
-}
-
 /// Opens this incarnation's delivery log: the first free
 /// `deliveries.<rank>.<i>` (O_EXCL keeps a relaunch from appending to the
 /// dead incarnation's log — the test oracle reads them separately).
@@ -215,9 +165,15 @@ int main(int argc, char** argv) {
     fault_plan = *parsed;
   }
 
-  TcpProcess host(opt.rank, opt.n, opt.seed);
-  const std::uint16_t port = host.bind_listener();
-  publish_port(opt.dir, opt.rank, port);
+  // Peers find each other through the port.<rank> files; a lookup waits
+  // for a peer that has not published yet.
+  TcpProcess host(
+      opt.rank, opt.n,
+      PortBook{[&](ProcessId rank, std::uint16_t port) {
+                 publish_port(opt.dir, rank, port);
+               },
+               [&](ProcessId q) { return wait_for_port(opt.dir, q, deadline); }},
+      opt.seed);
 
   // A non-empty store means this rank died and was relaunched: recover
   // from the journal, then catch up from peers. No drop_unsynced — see
@@ -264,44 +220,25 @@ int main(int argc, char** argv) {
     delivered.fetch_add(1, std::memory_order_relaxed);
   });
 
-  const auto ports = wait_for_ports(opt.dir, opt.n, seconds(30));
-  if (ports.empty()) {
-    std::fprintf(stderr, "ibcd: rank %u timed out in port discovery\n",
-                 opt.rank);
-    return 3;
-  }
-
-  // Mesh wiring: first boot dials every lower rank (one connection per
-  // pair; the higher rank's reactor accepts). A restarted rank dials
-  // ALL peers — its old connections died with the old incarnation — and
-  // skips any that stay unreachable (they are dead; catch-up needs only
-  // a majority).
-  if (!restarted) {
-    for (ProcessId q = 1; q < opt.rank; ++q) {
-      DialOutcome dial = dial_peer(opt, q, deadline);
-      if (!dial.fd.valid()) {
-        std::fprintf(stderr,
-                     "ibcd: rank %u failed to reach rank %u after %d "
-                     "bounded-backoff attempt(s)\n",
-                     opt.rank, q, dial.attempts);
-        return 3;
-      }
-      host.connect_peer(q, std::move(dial.fd));
-    }
-  } else {
-    for (ProcessId q = 1; q <= opt.n; ++q) {
-      if (q == opt.rank) continue;
-      const auto dial_deadline = std::chrono::steady_clock::now() +
-                                 std::chrono::milliseconds(3000);
-      DialOutcome dial = dial_peer(opt, q, std::min(deadline, dial_deadline));
-      if (dial.fd.valid()) {
-        host.connect_peer(q, std::move(dial.fd));
-      } else {
-        std::fprintf(stderr,
-                     "ibcd: rank %u skipping dead rank %u after %d "
-                     "attempt(s)\n",
-                     opt.rank, q, dial.attempts);
-      }
+  // Mesh wiring (TcpProcess::join_mesh): first boot dials every lower
+  // rank; a restarted rank dials ALL peers — its old connections died
+  // with the old incarnation — and skips any that stay unreachable (they
+  // are dead; catch-up needs only a majority).
+  for (const TcpProcess::PeerDial& dial : host.join_mesh(restarted, deadline)) {
+    if (dial.connected) {
+      std::fprintf(stderr,
+                   "ibcd: rank %u connected to rank %u after %d attempt(s)\n",
+                   opt.rank, dial.peer, dial.attempts);
+    } else if (!restarted) {
+      std::fprintf(stderr,
+                   "ibcd: rank %u failed to reach rank %u after %d "
+                   "bounded-backoff attempt(s)\n",
+                   opt.rank, dial.peer, dial.attempts);
+      return 3;
+    } else {
+      std::fprintf(stderr,
+                   "ibcd: rank %u skipping dead rank %u after %d attempt(s)\n",
+                   opt.rank, dial.peer, dial.attempts);
     }
   }
 
@@ -310,7 +247,7 @@ int main(int argc, char** argv) {
     stack.start();
     if (restarted) stack.begin_catchup();
   });
-  std::fprintf(stderr, "ibcd: rank %u up on port %u%s\n", opt.rank, port,
+  std::fprintf(stderr, "ibcd: rank %u up%s\n", opt.rank,
                restarted ? " (restarted)" : "");
 
   // Boot barrier: nobody sends until every rank is up, so early frames
