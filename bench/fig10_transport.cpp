@@ -13,13 +13,15 @@
 //
 // Panels (open-loop Poisson via workload::run_experiment, the shared
 // methodology of figs 1-9; all wall-clock on real sockets, indicative):
-//   (a) sustained throughput per (B, W): the realized rate of the
+//   (a) sustained throughput per (B, W): the delivered rate of the
 //       highest offered-load rung that drains within the straggler
-//       tolerance — the direct successor of the fig9c fixed-load panel;
-//   (b) transport efficiency at the knee: frames per writev (the
-//       syscall-amortization claim, observable, not asserted) and wake
-//       syscalls per 1000 accepted sends (the fast-path claim: protocol
-//       sends never touch the wake pipe).
+//       tolerance, median and range over repeated ladder climbs;
+//   (b) at the knee: frames per writev (the syscall-amortization
+//       claim, observable, not asserted), wake syscalls per 1000
+//       accepted sends (the fast-path claim: protocol sends never touch
+//       the wake pipe) and the generator's lag behind its schedule.
+// A note gives the realized/offered abroadcast rate over the rungs below
+// each knee: near 1 unless the generator fell behind its schedule.
 //
 // Run with --smoke for the CI-sized variant (shorter phases, smaller
 // grid — still real sockets; that is the point of the bench).
@@ -46,56 +48,14 @@ abcast::StackConfig stack_for(std::size_t batch_msgs, std::uint32_t window) {
   return config;
 }
 
-workload::ExperimentResult run_point(std::size_t batch_msgs,
-                                     std::uint32_t window, double offered,
-                                     const workload::SweepOptions& opt) {
+workload::ExperimentConfig config_for(std::size_t batch_msgs,
+                                      std::uint32_t window) {
   workload::ExperimentConfig cfg;
   cfg.n = 3;
   cfg.host = runtime::HostKind::kTcp;
   cfg.stack = stack_for(batch_msgs, window);
   cfg.payload_bytes = kPayloadBytes;
-  cfg.throughput_msgs_per_sec = offered;
-  cfg.warmup = opt.warmup;
-  cfg.measure = opt.measure;
-  cfg.drain = opt.drain;
-  cfg.seed = opt.seed;
-  const workload::ExperimentResult r = workload::run_experiment(cfg);
-  IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
-  return r;
-}
-
-struct Sustained {
-  double throughput = 0.0;        // realized msgs/s at the last good rung
-  double frames_per_writev = 0.0; // syscall amortization at that rung
-  double wakeups_per_1k = 0.0;    // wake syscalls / 1000 accepted sends
-  bool ladder_capped = false;     // never saturated within the ladder
-  bool measured = false;          // at least one rung drained
-};
-
-/// Climbs the offered-load ladder until a rung saturates; the sustained
-/// throughput is the realized rate of the highest rung that drained.
-Sustained sustained_throughput(std::size_t batch_msgs, std::uint32_t window,
-                               const std::vector<double>& ladder,
-                               const workload::SweepOptions& opt) {
-  Sustained out;
-  out.ladder_capped = true;
-  for (const double offered : ladder) {
-    const workload::ExperimentResult r =
-        run_point(batch_msgs, window, offered, opt);
-    if (workload::point_saturated(r, opt)) {
-      out.ladder_capped = false;
-      break;
-    }
-    out.measured = true;
-    out.throughput = r.delivered_throughput;
-    out.frames_per_writev = r.frames_per_writev_avg;
-    out.wakeups_per_1k =
-        r.messages_sent == 0
-            ? 0.0
-            : 1000.0 * static_cast<double>(r.wakeups) /
-                  static_cast<double>(r.messages_sent);
-  }
-  return out;
+  return cfg;
 }
 
 }  // namespace
@@ -117,80 +77,107 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint32_t>{1} : std::vector<std::uint32_t>{1, 4};
   const std::vector<double> ladder =
       smoke ? std::vector<double>{300, 600}
-            : std::vector<double>{1000, 2000, 4000, 8000, 16000, 32000};
+            : std::vector<double>{8000, 16000, 32000, 64000, 128000,
+                                  256000};
 
   workload::SweepOptions opt;
   opt.warmup = smoke ? milliseconds(200) : milliseconds(300);
   opt.measure = smoke ? milliseconds(500) : seconds(1);
   opt.drain = smoke ? milliseconds(800) : seconds(1);
 
-  double baseline = 0.0;  // sustained at (B=1, W=1)
+  // Wall-clock points spread from run to run: each cell climbs the
+  // ladder `repeats` times and reports the median and range.
+  const int repeats = smoke ? 1 : 5;
+  std::string capped;  // configs that never saturated within the ladder
+  std::vector<std::vector<double>> rate_points;  // per (cell, rung)
+  double baseline = 0.0;  // median sustained at (B=1, W=1)
   double best = 0.0;
   std::string best_label = "B=1,W=1";
-  std::string capped;  // configs that never saturated within the ladder
   std::vector<workload::Series> tput_series;
-  std::vector<workload::Series> fpw_series;
-  std::vector<workload::Series> wake_series;
+  std::vector<workload::Series> efficiency;
   for (const std::uint32_t w : windows) {
-    workload::Series tput{"sustained tput [msg/s], W=" + std::to_string(w),
-                          {}};
-    workload::Series fpw{"frames/writev at knee, W=" + std::to_string(w),
-                         {}};
-    workload::Series wak{"wakeups/1k sends at knee, W=" + std::to_string(w),
-                         {}};
+    const std::string ws = ", W=" + std::to_string(w);
+    workload::Series tput{"sustained tput [msg/s] median" + ws, {}};
+    workload::Series lo{"sustained tput [msg/s] min" + ws, {}};
+    workload::Series hi{"sustained tput [msg/s] max" + ws, {}};
+    workload::Series fpw{"frames/writev at knee" + ws, {}};
+    workload::Series wak{"wakeups/1k sends at knee" + ws, {}};
+    workload::Series lag{"generator lag p99 [ms] at knee" + ws, {}};
     for (const double b : batches) {
       const std::string label = "B=" +
                                 std::to_string(static_cast<int>(b)) +
                                 ",W=" + std::to_string(w);
-      const Sustained s = sustained_throughput(
-          static_cast<std::size_t>(b), w, ladder, opt);
-      // A config whose *first* rung saturated was never measured:
-      // report sat. (JSON null), not a fake zero.
-      const double mark = workload::saturated_marker();
-      tput.values.push_back(s.measured ? s.throughput : mark);
-      fpw.values.push_back(s.measured ? s.frames_per_writev : mark);
-      wak.values.push_back(s.measured ? s.wakeups_per_1k : mark);
-      if (s.ladder_capped) capped += (capped.empty() ? "" : "; ") + label;
-      if (b == 1 && w == 1) baseline = s.throughput;
-      if (s.throughput > best) {
-        best = s.throughput;
+      std::vector<double> runs, fpws, wakes, lags;
+      std::vector<std::vector<double>> rungs(ladder.size());
+      bool cell_capped = false;
+      for (int i = 0; i < repeats; ++i) {
+        workload::SweepOptions run_opt = opt;
+        run_opt.seed = opt.seed + static_cast<std::uint64_t>(i);
+        const workload::Knee k = workload::climb_ladder(
+            config_for(static_cast<std::size_t>(b), w), ladder, run_opt);
+        cell_capped = cell_capped || k.capped;
+        for (std::size_t i = 0; i < k.realized_over_offered.size(); ++i)
+          rungs[i].push_back(k.realized_over_offered[i]);
+        // A run whose *first* rung saturated measured nothing.
+        if (!k.measured()) continue;
+        const workload::ExperimentResult& r = k.at;
+        runs.push_back(r.delivered_throughput);
+        fpws.push_back(r.frames_per_writev_avg);
+        wakes.push_back(r.messages_sent == 0
+                            ? 0.0
+                            : 1000.0 * static_cast<double>(r.wakeups) /
+                                  static_cast<double>(r.messages_sent));
+        lags.push_back(r.gen_lag_p99_ms);
+      }
+      if (cell_capped) capped += (capped.empty() ? "" : "; ") + label;
+      rate_points.insert(rate_points.end(), rungs.begin(), rungs.end());
+      workload::append_spread(runs, tput, lo, hi);
+      const double sustained = runs.empty() ? 0.0 : tput.values.back();
+      if (b == 1 && w == 1) baseline = sustained;
+      if (sustained > best) {
+        best = sustained;
         best_label = label;
       }
+      const auto median = [](const std::vector<double>& v) {
+        return v.empty() ? workload::saturated_marker()
+                         : workload::spread_of(v).median;
+      };
+      fpw.values.push_back(median(fpws));
+      wak.values.push_back(median(wakes));
+      lag.values.push_back(median(lags));
     }
-    tput_series.push_back(std::move(tput));
-    fpw_series.push_back(std::move(fpw));
-    wake_series.push_back(std::move(wak));
+    tput_series.insert(tput_series.end(), {tput, lo, hi});
+    efficiency.insert(efficiency.end(), {fpw, wak, lag});
   }
   if (!capped.empty()) {
-    // No silent caps: these points sustained the whole ladder, so their
-    // reported value is a lower bound, not the knee.
+    // No silent caps: these points sustained the whole ladder in at
+    // least one run, so their value is a lower bound, not the knee.
     report.note("tcp_ladder_capped", capped);
   }
   report.table(
       "Figure 10a: max sustained throughput vs batch size B and window W, "
-      "n=3, loopback TCP (open-loop Poisson, wall-clock)",
+      "n=3, loopback TCP (open-loop Poisson, wall-clock, median and range "
+      "of " + std::to_string(repeats) + " runs)",
       "B", batches, tput_series);
-
-  std::vector<workload::Series> efficiency = fpw_series;
-  efficiency.insert(efficiency.end(), wake_series.begin(),
-                    wake_series.end());
   report.table(
-      "Figure 10b: transport efficiency at the knee — frames per writev "
-      "(syscall amortization) and wakeups per 1000 sends (fast path)",
+      "Figure 10b: at the knee — frames per writev (syscall amortization), "
+      "wakeups per 1000 sends (fast path) and generator lag p99 (medians)",
       "B", batches, efficiency);
 
+  char buf[64];
   if (baseline > 0.0) {
-    char buf[64];
     std::snprintf(buf, sizeof buf, "%.2fx at %s", best / baseline,
                   best_label.c_str());
     report.note("tcp_improvement_best_vs_B1W1", buf);
   }
-  report.note("fig9c_plateau_msgs_per_sec",
-              "~1800 (pre-refactor recorded baseline, all B and W)");
+  report.note("realized_over_offered_below_knee",
+              workload::format_rate_check(rate_points));
   report.note("workload",
               "open-loop Poisson via workload::run_experiment on loopback "
-              "TCP; sustained = realized rate of the highest offered-load "
-              "rung that drained within the 1% straggler tolerance");
+              "TCP; sustained = delivered rate of the highest offered-load "
+              "rung that drained within the 1% straggler tolerance; "
+              "realized / offered = abroadcasts called / due in the "
+              "window");
   report.note("smoke", smoke ? "true" : "false");
   return report.finish();
 }

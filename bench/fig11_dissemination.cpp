@@ -19,7 +19,7 @@
 //       (n-1 vs 1, observed, not asserted) and the ring's origin→deliver
 //       hop-latency high water (the cost side of the trade);
 //   (c) loopback TCP: the same sweep on real sockets (smaller n and
-//       ladder; wall-clock, indicative).
+//       ladder; wall-clock, median and range of repeated runs).
 //
 // Run with --smoke for the CI-sized variant (sim n ∈ {3,5}, TCP n = 3,
 // two-rung ladders, short phases).
@@ -49,46 +49,16 @@ abcast::StackConfig stack_for(abcast::RbKind rb) {
   return config;
 }
 
-struct Sustained {
-  double throughput = 0.0;        // realized msgs/s at the last good rung
-  double sends_per_frame = 0.0;   // per-node payload sends/frame (max)
-  double hop_latency_ms = 0.0;    // ring origin→deliver high water
-  bool ladder_capped = false;     // never saturated within the ladder
-  bool measured = false;          // at least one rung drained
-};
-
-/// Climbs the offered-load ladder until a rung saturates; the sustained
-/// throughput is the realized rate of the highest rung that drained.
-Sustained sustained_throughput(std::uint32_t n, runtime::HostKind host,
-                               abcast::RbKind rb,
-                               const std::vector<double>& ladder,
-                               const workload::SweepOptions& opt) {
-  Sustained out;
-  out.ladder_capped = true;
-  for (const double offered : ladder) {
-    workload::ExperimentConfig cfg;
-    cfg.n = n;
-    cfg.host = host;
-    cfg.model = net::NetModel::setup1();
-    cfg.stack = stack_for(rb);
-    cfg.payload_bytes = kPayloadBytes;
-    cfg.throughput_msgs_per_sec = offered;
-    cfg.warmup = opt.warmup;
-    cfg.measure = opt.measure;
-    cfg.drain = opt.drain;
-    cfg.seed = opt.seed;
-    const workload::ExperimentResult r = workload::run_experiment(cfg);
-    IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
-    if (workload::point_saturated(r, opt)) {
-      out.ladder_capped = false;
-      break;
-    }
-    out.measured = true;
-    out.throughput = r.delivered_throughput;
-    out.sends_per_frame = r.rb_sends_per_frame_max;
-    out.hop_latency_ms = r.rb_hop_latency_max_ms;
-  }
-  return out;
+workload::ExperimentConfig config_for(std::uint32_t n,
+                                      runtime::HostKind host,
+                                      abcast::RbKind rb) {
+  workload::ExperimentConfig cfg;
+  cfg.n = n;
+  cfg.host = host;
+  cfg.model = net::NetModel::setup1();
+  cfg.stack = stack_for(rb);
+  cfg.payload_bytes = kPayloadBytes;
+  return cfg;
 }
 
 std::string rb_name(abcast::RbKind rb) {
@@ -133,17 +103,19 @@ int main(int argc, char** argv) {
     workload::Series hop{"hop-latency high water [ms], " + rb_name(rb), {}};
     for (const double n : sim_ns) {
       const auto un = static_cast<std::uint32_t>(n);
-      const Sustained s = sustained_throughput(un, runtime::HostKind::kSim,
-                                               rb, sim_ladder, sim_opt);
+      // Sustained: the delivered rate of the highest rung that drained.
+      const workload::Knee k = workload::climb_ladder(
+          config_for(un, runtime::HostKind::kSim, rb), sim_ladder, sim_opt);
       const double mark = workload::saturated_marker();
-      tput.values.push_back(s.measured ? s.throughput : mark);
-      sends.values.push_back(s.measured ? s.sends_per_frame : mark);
-      hop.values.push_back(s.measured ? s.hop_latency_ms : mark);
-      if (s.ladder_capped)
+      tput.values.push_back(k.measured() ? k.at.delivered_throughput : mark);
+      sends.values.push_back(k.measured() ? k.at.rb_sends_per_frame_max
+                                        : mark);
+      hop.values.push_back(k.measured() ? k.at.rb_hop_latency_max_ms : mark);
+      if (k.capped)
         capped += (capped.empty() ? "" : "; ") + rb_name(rb) +
                   ",n=" + std::to_string(un) + ",sim";
       if (un == 9) (rb == abcast::RbKind::kRing ? ring_n9 : flood_n9) =
-          s.throughput;
+          k.at.delivered_throughput;
     }
     sim_tput.push_back(std::move(tput));
     sim_sends.push_back(std::move(sends));
@@ -171,41 +143,66 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{3} : std::vector<double>{3, 5, 9};
   const std::vector<double> tcp_ladder =
       smoke ? std::vector<double>{200, 400}
-            : std::vector<double>{500, 1000, 2000, 4000, 8000};
+            : std::vector<double>{1000, 4000, 16000, 64000};
   workload::SweepOptions tcp_opt;
   tcp_opt.warmup = smoke ? milliseconds(200) : milliseconds(300);
   tcp_opt.measure = smoke ? milliseconds(500) : seconds(1);
   tcp_opt.drain = smoke ? milliseconds(800) : seconds(1);
 
+  // Wall-clock points spread from run to run: each one climbs the
+  // ladder `repeats` times and reports the median and range.
+  const int repeats = smoke ? 1 : 5;
+  std::vector<std::vector<double>> rate_points;  // per (curve, n, rung)
   std::vector<workload::Series> tcp_tput;
   for (const abcast::RbKind rb : kinds) {
-    workload::Series tput{"sustained tput [msg/s], " + rb_name(rb), {}};
+    workload::Series tput{"sustained tput [msg/s] median, " + rb_name(rb),
+                          {}};
+    workload::Series lo{"sustained tput [msg/s] min, " + rb_name(rb), {}};
+    workload::Series hi{"sustained tput [msg/s] max, " + rb_name(rb), {}};
     for (const double n : tcp_ns) {
       const auto un = static_cast<std::uint32_t>(n);
-      const Sustained s = sustained_throughput(un, runtime::HostKind::kTcp,
-                                               rb, tcp_ladder, tcp_opt);
-      tput.values.push_back(s.measured ? s.throughput
-                                       : workload::saturated_marker());
-      if (s.ladder_capped)
+      std::vector<double> runs;
+      std::vector<std::vector<double>> rungs(tcp_ladder.size());
+      bool point_capped = false;
+      for (int i = 0; i < repeats; ++i) {
+        workload::SweepOptions run_opt = tcp_opt;
+        run_opt.seed = tcp_opt.seed + static_cast<std::uint64_t>(i);
+        const workload::Knee k = workload::climb_ladder(
+            config_for(un, runtime::HostKind::kTcp, rb), tcp_ladder,
+            run_opt);
+        point_capped = point_capped || k.capped;
+        for (std::size_t r = 0; r < k.realized_over_offered.size(); ++r)
+          rungs[r].push_back(k.realized_over_offered[r]);
+        if (!k.measured()) continue;
+        runs.push_back(k.at.delivered_throughput);
+      }
+      if (point_capped)
         capped += (capped.empty() ? "" : "; ") + rb_name(rb) +
                   ",n=" + std::to_string(un) + ",tcp";
+      rate_points.insert(rate_points.end(), rungs.begin(), rungs.end());
+      workload::append_spread(runs, tput, lo, hi);
     }
-    tcp_tput.push_back(std::move(tput));
+    tcp_tput.insert(tcp_tput.end(), {tput, lo, hi});
   }
   report.table(
       "Figure 11c: max sustained throughput vs n, flood vs ring, loopback "
-      "TCP (wall-clock, indicative)",
+      "TCP (wall-clock, median and range of " + std::to_string(repeats) +
+          " runs)",
       "n", tcp_ns, tcp_tput);
+  report.note("tcp_realized_over_offered_below_knee",
+              workload::format_rate_check(rate_points));
 
   if (!capped.empty()) {
-    // No silent caps: these points sustained the whole ladder, so their
-    // reported value is a lower bound, not the knee.
+    // No silent caps: these points sustained the whole ladder (on TCP,
+    // in at least one run), so their value is a lower bound, not the
+    // knee.
     report.note("ladder_capped", capped);
   }
   report.note("workload",
               "open-loop Poisson via workload::run_experiment; sustained = "
               "realized rate of the highest offered-load rung that drained "
-              "within the 1% straggler tolerance");
+              "within the 1% straggler tolerance; realized / offered = "
+              "abroadcasts called / due in the window");
   report.note("smoke", smoke ? "true" : "false");
   return report.finish();
 }

@@ -27,13 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
 
 #include "runtime/cluster.hpp"
+#include "workload/load.hpp"
 #include "workload/sweep.hpp"
 
 namespace {
@@ -140,36 +140,7 @@ struct DipResult {
   double crash_ms = 0.0;
   double restart_ms = 0.0;
   double load_end_ms = 0.0;  // sources stop here; drain tail follows
-};
-
-/// Fixed-pace open-loop sender running on its own process's context: one
-/// abroadcast per `pace`, rescheduled from the process's Env so a crash
-/// stops it and the restart listener can start it again. Unlike a
-/// driver-thread round loop, no sender's pace depends on another
-/// process's reactor being responsive — the timeline below measures the
-/// cluster, not the driver.
-class PacedSender {
- public:
-  PacedSender(Cluster& cluster, ProcessId p, Duration pace, TimePoint stop)
-      : cluster_(cluster), process_(p), pace_(pace), stop_(stop) {}
-
-  void start() { schedule(); }
-
- private:
-  void schedule() {
-    runtime::Env& env = cluster_.node(process_).env();
-    if (env.now() + pace_ >= stop_) return;
-    env.set_timer(pace_, [this] {
-      cluster_.node(process_).abcast().abroadcast(
-          Bytes(8, static_cast<std::uint8_t>(process_)));
-      schedule();
-    });
-  }
-
-  Cluster& cluster_;
-  ProcessId process_;
-  Duration pace_;
-  TimePoint stop_;
+  double realized_over_offered = 0.0;  // abroadcasts called / due
 };
 
 /// Panel (b): sustained load on loopback TCP, crash + restart p3, and
@@ -181,21 +152,13 @@ DipResult measure_dip(Duration phase, Duration bin, std::uint64_t seed) {
                       .on_tcp()
                       .with_stack(recovery_stack())
                       .with_recovery());
-  const Duration pace = milliseconds(1);  // 1000 msg/s per live sender
+  // One message per millisecond from each live process, on its own
+  // reactor, so no sender's pace depends on another process being
+  // responsive: the timeline measures the cluster, not the driver.
   const TimePoint stop = cluster.now() + 4 * phase;
-  std::vector<std::unique_ptr<PacedSender>> senders;
-  senders.reserve(4);
-  senders.push_back(nullptr);  // 1-based
-  for (ProcessId p = 1; p <= cluster.n(); ++p) {
-    senders.push_back(
-        std::make_unique<PacedSender>(cluster, p, pace, stop));
-  }
-  for (ProcessId p = 1; p <= cluster.n(); ++p) {
-    cluster.host().run_on(p, [&senders, p] { senders[p]->start(); });
-  }
-  // p3's timer chain dies with its crash; restart it with the process.
-  cluster.set_restart_listener(
-      [&senders](ProcessId p) { senders[p]->start(); });
+  workload::OpenLoop load(
+      cluster, [](runtime::Env&) { return milliseconds(1); }, 8, stop);
+  load.start();
 
   DipResult out;
   cluster.run_for(phase);
@@ -207,13 +170,19 @@ DipResult measure_dip(Duration phase, Duration bin, std::uint64_t seed) {
   cluster.run_for(std::max<Duration>(stop - cluster.now(), 1));
   out.load_end_ms = to_ms(stop);
   cluster.run_until_quiesced(milliseconds(300), seconds(30));
+  cluster.shutdown();
 
-  const std::vector<Cluster::Delivery> log = cluster.log(1);
+  const workload::LoadReport whole = load.report(0, stop, 2);
+  IBC_ASSERT_MSG(whole.violation.empty(), whole.violation.c_str());
+  out.realized_over_offered = static_cast<double>(whole.sent) /
+                              static_cast<double>(whole.due);
+  const std::vector<workload::ProcessRecord::Delivered>& log =
+      load.record(1).delivered;
   IBC_ASSERT_MSG(!log.empty(), "reference process delivered nothing");
   const TimePoint end = log.back().at;
   const std::size_t bins = static_cast<std::size_t>(end / bin) + 1;
   std::vector<double> counts(bins, 0.0);
-  for (const Cluster::Delivery& d : log) {
+  for (const workload::ProcessRecord::Delivered& d : log) {
     counts[static_cast<std::size_t>(d.at / bin)] += 1.0;
   }
   const double bin_sec = to_sec(bin);
@@ -311,35 +280,61 @@ int main(int argc, char** argv) {
     report.note("store_medium_cost", mbuf);
   }
 
-  // --- Panel (b): throughput dip during rejoin on loopback TCP.
+  // --- Panel (b): throughput dip during rejoin on loopback TCP,
+  // repeated: wall-clock runs spread, so each value is a median.
   const Duration phase = smoke ? milliseconds(300) : milliseconds(800);
-  const DipResult dip = measure_dip(phase, milliseconds(200), 21);
+  const int repeats = smoke ? 1 : 5;
+  std::vector<DipResult> dips;
+  for (int i = 0; i < repeats; ++i)
+    dips.push_back(measure_dip(phase, milliseconds(200), 21 + i));
+  std::vector<double> crash, restart, pre, post, ratio, realized;
+  std::size_t bins = dips.front().rate_per_bin.size();
+  for (const DipResult& d : dips) {
+    crash.push_back(d.crash_ms);
+    restart.push_back(d.restart_ms);
+    pre.push_back(d.pre_crash_rate);
+    post.push_back(d.post_rejoin_rate);
+    ratio.push_back(d.pre_crash_rate > 0
+                        ? d.post_rejoin_rate / d.pre_crash_rate
+                        : 0.0);
+    realized.push_back(d.realized_over_offered);
+    bins = std::min(bins, d.rate_per_bin.size());
+  }
+  workload::Series median{"deliveries/s at p1, median", {}};
+  workload::Series low{"deliveries/s at p1, min", {}};
+  workload::Series high{"deliveries/s at p1, max", {}};
+  for (std::size_t i = 0; i < bins; ++i) {
+    std::vector<double> rates;
+    for (const DipResult& d : dips) rates.push_back(d.rate_per_bin[i]);
+    workload::append_spread(rates, median, low, high);
+  }
+  std::vector<double> centers = dips.front().bin_centers_ms;
+  centers.resize(bins);
   report.table(
       "Figure 13b: delivery rate at an always-up peer through crash and "
-      "rejoin of p3, n=3, loopback TCP (200ms bins, wall-clock)",
-      "t [ms]", dip.bin_centers_ms,
-      {workload::Series{"deliveries/s at p1", dip.rate_per_bin}});
+      "rejoin of p3, n=3, loopback TCP (200ms bins, wall-clock, " +
+          std::to_string(repeats) + " runs)",
+      "t [ms]", centers, {median, low, high});
 
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%.0f", dip.crash_ms);
-  report.note("crash_at_ms", buf);
-  std::snprintf(buf, sizeof buf, "%.0f", dip.restart_ms);
-  report.note("restart_at_ms", buf);
-  std::snprintf(buf, sizeof buf, "%.0f msg/s", dip.pre_crash_rate);
-  report.note("pre_crash_rate", buf);
-  std::snprintf(buf, sizeof buf, "%.0f msg/s", dip.post_rejoin_rate);
-  report.note("post_rejoin_rate", buf);
-  const double ratio = dip.pre_crash_rate > 0
-                           ? dip.post_rejoin_rate / dip.pre_crash_rate
-                           : 0.0;
-  std::snprintf(buf, sizeof buf, "%.2f (acceptance bar: >= 0.80)", ratio);
-  report.note("post_rejoin_over_pre_crash", buf);
+  report.note("runs", "median [min, max] over " + std::to_string(repeats) +
+                          " runs, seeds 21..");
+  report.note("crash_at_ms", workload::format_spread(crash, "%.0f"));
+  report.note("restart_at_ms", workload::format_spread(restart, "%.0f"));
+  report.note("pre_crash_rate",
+              workload::format_spread(pre, "%.0f") + " msg/s");
+  report.note("post_rejoin_rate",
+              workload::format_spread(post, "%.0f") + " msg/s");
+  report.note("post_rejoin_over_pre_crash",
+              workload::format_spread(ratio, "%.2f") +
+                  " (acceptance bar: >= 0.80)");
+  report.note("realized_over_offered",
+              workload::format_spread(realized, "%.4f"));
   report.note("workload",
               "panel a: 3 senders, 1 msg each per 2ms sim round, quiesce, "
               "crash p3, 50 rounds of gap traffic, restart, poll to "
-              "rejoin; panel b: per-process timer-paced senders at 1000 "
-              "msg/s each (open loop), crash p3 after 1 phase, restart "
-              "after 2, sources stop after 4");
+              "rejoin; panel b: workload::OpenLoop at a constant 1 ms gap "
+              "(1000 msg/s per live process, due-time schedule), crash p3 "
+              "after 1 phase, restart after 2, sources stop after 4");
   report.note("smoke", smoke ? "true" : "false");
   return report.finish();
 }

@@ -45,48 +45,14 @@ abcast::StackConfig stack_for(std::size_t batch_msgs, std::uint32_t window,
   return config;
 }
 
-workload::ExperimentResult run_point(std::size_t batch_msgs,
-                                     std::uint32_t window, double offered,
-                                     const workload::SweepOptions& opt) {
+workload::ExperimentConfig config_for(std::size_t batch_msgs,
+                                      std::uint32_t window) {
   workload::ExperimentConfig cfg;
   cfg.n = 3;
   cfg.model = net::NetModel::setup1();
   cfg.stack = stack_for(batch_msgs, window, cfg.model);
   cfg.payload_bytes = kPayloadBytes;
-  cfg.throughput_msgs_per_sec = offered;
-  cfg.warmup = opt.warmup;
-  cfg.measure = opt.measure;
-  cfg.drain = opt.drain;
-  cfg.seed = opt.seed;
-  const workload::ExperimentResult r = workload::run_experiment(cfg);
-  IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
-  return r;
-}
-
-struct Sustained {
-  double throughput = 0.0;     // realized msgs/s at the last good rung
-  double msgs_per_batch = 0.0; // achieved batching at that rung
-  bool ladder_capped = false;  // never saturated within the ladder
-};
-
-/// Climbs the offered-load ladder until a rung saturates; the sustained
-/// throughput is the realized rate of the highest rung that drained.
-Sustained sustained_throughput(std::size_t batch_msgs, std::uint32_t window,
-                               const std::vector<double>& ladder,
-                               const workload::SweepOptions& opt) {
-  Sustained out;
-  out.ladder_capped = true;
-  for (const double offered : ladder) {
-    const workload::ExperimentResult r =
-        run_point(batch_msgs, window, offered, opt);
-    if (workload::point_saturated(r, opt)) {
-      out.ladder_capped = false;
-      break;
-    }
-    out.throughput = r.achieved_throughput;
-    out.msgs_per_batch = r.msgs_per_batch_avg;
-  }
-  return out;
+  return cfg;
 }
 
 }  // namespace
@@ -132,14 +98,17 @@ int main(int argc, char** argv) {
       const std::string label = "B=" +
                                 std::to_string(static_cast<int>(b)) +
                                 ",W=" + std::to_string(w);
-      const Sustained s = sustained_throughput(
-          static_cast<std::size_t>(b), w, ladder, opt);
-      tput.values.push_back(s.throughput);
-      mpb.values.push_back(s.msgs_per_batch);
-      if (s.ladder_capped) capped += (capped.empty() ? "" : "; ") + label;
-      if (b == 1 && w == 1) baseline = s.throughput;
-      if (s.throughput > best) {
-        best = s.throughput;
+      // The sustained throughput is the realized rate of the highest
+      // rung that drained.
+      const workload::Knee k = workload::climb_ladder(
+          config_for(static_cast<std::size_t>(b), w), ladder, opt);
+      const double sustained = k.at.achieved_throughput;
+      tput.values.push_back(sustained);
+      mpb.values.push_back(k.at.msgs_per_batch_avg);
+      if (k.capped) capped += (capped.empty() ? "" : "; ") + label;
+      if (b == 1 && w == 1) baseline = sustained;
+      if (sustained > best) {
+        best = sustained;
         best_label = label;
       }
     }
@@ -173,8 +142,8 @@ int main(int argc, char** argv) {
     for (const std::uint32_t w : windows) {
       workload::Series s{"mean latency [ms], W=" + std::to_string(w), {}};
       for (const double b : batches) {
-        const workload::ExperimentResult r =
-            run_point(static_cast<std::size_t>(b), w, moderate, opt);
+        const workload::ExperimentResult r = workload::run_point(
+            config_for(static_cast<std::size_t>(b), w), moderate, opt);
         s.values.push_back(workload::point_saturated(r, opt)
                                ? workload::saturated_marker()
                                : r.mean_latency_ms);

@@ -302,6 +302,7 @@ ClusterStats Cluster::stats() {
   stats.dropped_fault = wire.dropped_fault;
   stats.duplicated_fault = wire.duplicated_fault;
   stats.delayed_fault = wire.delayed_fault;
+  stats.frames_rejected = wire.frames_rejected;
   stats.frames_per_writev_avg =
       wire.writev_calls == 0
           ? 0.0

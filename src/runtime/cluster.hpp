@@ -237,6 +237,9 @@ struct ClusterStats {
   std::uint64_t dropped_fault = 0;       // discarded by the fault plan
   std::uint64_t duplicated_fault = 0;    // extra copies injected
   std::uint64_t delayed_fault = 0;       // held by a cut or delayed
+  // Input rejected from a peer (TCP only): a garbled frame stream
+  // closes that link instead of aborting the receiver.
+  std::uint64_t frames_rejected = 0;
   // Durability & recovery counters (recovery-enabled clusters only;
   // summed over processes and across incarnations).
   std::uint64_t log_appends = 0;         // WAL records written
@@ -300,7 +303,7 @@ class Cluster {
   /// Installs a hook invoked by `restart(p)` after the new stack is
   /// built but before the process resumes: external observers whose
   /// `on_deliver` subscriptions died with the old incarnation (e.g. the
-  /// experiment driver's latency recorder) re-subscribe here, via
+  /// open-loop load's per-process records) re-subscribe here, via
   /// `node(p).stack()` directly — the process is not yet executing, so
   /// no hop onto its context is needed (or possible).
   void set_restart_listener(std::function<void(ProcessId)> fn);

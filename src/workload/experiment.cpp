@@ -1,78 +1,17 @@
 #include "workload/experiment.hpp"
 
-#include <memory>
-#include <mutex>
-
 #include "runtime/cluster.hpp"
 #include "util/assert.hpp"
-#include "workload/latency.hpp"
+#include "workload/load.hpp"
 
 namespace ibc::workload {
-
-namespace {
-
-/// Per-process Poisson source: schedules the next abroadcast through the
-/// process's own Env, so a crashed process stops generating. The
-/// recorder is shared across processes, hence the mutex (uncontended on
-/// the single-threaded simulator, required on TCP reactors).
-///
-/// The abcast service is resolved per send, not bound at construction:
-/// a restart replaces the process's stack, and a reference into the old
-/// incarnation would dangle. The Env survives restarts (the host owns
-/// it), so the timer chain's home is stable.
-class Source {
- public:
-  Source(Cluster& cluster, ProcessId p, LatencyRecorder& rec,
-         std::mutex& rec_mu, double rate_per_sec, std::size_t payload_bytes,
-         TimePoint stop_at)
-      : cluster_(cluster),
-        process_(p),
-        recorder_(rec),
-        rec_mu_(rec_mu),
-        mean_gap_ns_(1e9 / rate_per_sec),
-        payload_(payload_bytes, static_cast<std::uint8_t>(0xA0 + p % 16)),
-        stop_at_(stop_at) {}
-
-  void start() { schedule_next(); }
-
- private:
-  void schedule_next() {
-    runtime::Env& env = cluster_.env(process_);
-    const auto gap =
-        static_cast<Duration>(env.rng().next_exponential(mean_gap_ns_));
-    // Compute the delay once: on the wall-clock TCP host a second now()
-    // read can land *after* `at`, which would make the delay negative.
-    const Duration delay = std::max<Duration>(gap, 1);
-    if (env.now() + delay >= stop_at_) return;
-    env.set_timer(delay, [this, &env] {
-      const MessageId id =
-          cluster_.node(process_).abcast().abroadcast(payload_);
-      {
-        const std::scoped_lock lock(rec_mu_);
-        recorder_.on_broadcast(id, env.now());
-      }
-      schedule_next();
-    });
-  }
-
-  Cluster& cluster_;
-  ProcessId process_;
-  LatencyRecorder& recorder_;
-  std::mutex& rec_mu_;
-  double mean_gap_ns_;
-  Bytes payload_;
-  TimePoint stop_at_;
-};
-
-}  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   IBC_REQUIRE(config.n >= 1);
   IBC_REQUIRE(config.throughput_msgs_per_sec > 0);
 
-  // The driver keeps its own records (LatencyRecorder), so the facade's
-  // payload-copying delivery log stays off — it would distort the very
-  // latencies being measured.
+  // The load keeps its own per-process records, so the facade's
+  // delivery log, which serializes TCP deliveries on one mutex, stays off.
   ClusterOptions options = ClusterOptions{}
                                .with_n(config.n)
                                .with_seed(config.seed)
@@ -92,50 +31,16 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const TimePoint measure_to = config.warmup + config.measure;
   const TimePoint run_end = measure_to + config.drain;
 
-  LatencyRecorder recorder(measure_from, measure_to, config.n);
-  std::mutex rec_mu;
-
-  std::vector<std::unique_ptr<Source>> sources;
-  sources.reserve(config.n + 1);
-  sources.push_back(nullptr);  // 1-based
-
-  const double per_process_rate =
-      config.throughput_msgs_per_sec / config.n;
-
-  for (ProcessId p = 1; p <= config.n; ++p) {
-    Cluster::Node& node = cluster.node(p);
-    node.on_deliver([&recorder, &rec_mu, &cluster, p](const MessageId& id,
-                                                      BytesView) {
-      const TimePoint at = cluster.now();
-      const std::scoped_lock lock(rec_mu);
-      recorder.on_delivery(id, p, at);
-    });
-    sources.push_back(std::make_unique<Source>(
-        cluster, p, recorder, rec_mu, per_process_rate,
-        config.payload_bytes, measure_to));
-  }
-  for (ProcessId p = 1; p <= config.n; ++p) {
-    cluster.host().run_on(p, [&sources, p] { sources[p]->start(); });
-  }
-
-  // A restart kills the driver's wiring along with the old incarnation:
-  // the delivery subscription died with the stack and the Poisson
-  // source's timer chain died with the crash. Re-wire both before the
-  // process resumes — the catch-up redeliveries of the downtime gap
-  // must land in the recorder, and post-rejoin load must flow again.
-  if (!config.restarts.empty()) {
-    cluster.set_restart_listener(
-        [&recorder, &rec_mu, &cluster, &sources](ProcessId p) {
-          cluster.node(p).stack().abcast().subscribe(
-              [&recorder, &rec_mu, &cluster, p](const MessageId& id,
-                                                const Payload&) {
-                const TimePoint at = cluster.now();
-                const std::scoped_lock lock(rec_mu);
-                recorder.on_delivery(id, p, at);
-              });
-          sources[p]->start();
-        });
-  }
+  // Poisson arrivals at each process, drawn from its own rng.
+  const double mean_gap_ns =
+      1e9 / (config.throughput_msgs_per_sec / config.n);
+  OpenLoop load(
+      cluster,
+      [mean_gap_ns](runtime::Env& env) {
+        return static_cast<Duration>(env.rng().next_exponential(mean_gap_ns));
+      },
+      config.payload_bytes, measure_to);
+  load.start();
 
   // Run generation + measurement + drain, bounded by host time (the
   // heartbeat failure detector keeps event queues busy forever, so
@@ -146,31 +51,32 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (remaining > 0) cluster.run_for(remaining);
 
   // Quiesce before reading protocol state: on TCP this joins the
-  // reactors, so recorder/stacks can be read without races.
+  // reactors, so the records and stacks can be read without races.
   cluster.shutdown();
 
+  LoadReport load_report =
+      load.report(measure_from, measure_to, cluster.host().alive_count());
   ExperimentResult res;
-  Samples& samples = recorder.samples();
-  res.samples = samples.count();
-  res.mean_latency_ms = samples.mean();
-  res.p50_latency_ms = samples.quantile(0.50);
-  res.p95_latency_ms = samples.quantile(0.95);
-  res.max_latency_ms = samples.max();
-  res.broadcasts_measured = recorder.broadcasts_in_window();
-  res.undelivered = recorder.undelivered(cluster.host().alive_count());
-  res.total_order_ok = recorder.total_order_ok();
+  Samples& latency = load_report.latency_ms;
+  res.samples = latency.count();
+  res.mean_latency_ms = latency.mean();
+  res.p50_latency_ms = latency.quantile(0.50);
+  res.p95_latency_ms = latency.quantile(0.95);
+  res.max_latency_ms = latency.max();
+  res.broadcasts_measured = load_report.due;
+  res.undelivered = load_report.undelivered;
+  res.violation = load_report.violation;
   res.saturated = res.undelivered > 0;
-  res.offered_throughput = config.throughput_msgs_per_sec;
-  res.achieved_throughput =
-      config.measure > 0
-          ? static_cast<double>(res.broadcasts_measured) /
-                to_sec(config.measure)
-          : 0.0;
-  res.delivered_throughput =
-      config.measure > 0
-          ? static_cast<double>(res.broadcasts_measured - res.undelivered) /
-                to_sec(config.measure)
-          : 0.0;
+  const double window_s = to_sec(config.measure);
+  if (config.measure > 0) {
+    res.offered_throughput = static_cast<double>(load_report.due) / window_s;
+    res.achieved_throughput =
+        static_cast<double>(load_report.sent) / window_s;
+    res.delivered_throughput =
+        static_cast<double>(res.broadcasts_measured - res.undelivered) /
+        window_s;
+  }
+  res.gen_lag_p99_ms = load_report.lag_p99_ms;
   const ClusterStats stats = cluster.stats();
   res.messages_sent = stats.messages_sent;
   res.wire_bytes_sent = stats.wire_bytes_sent;

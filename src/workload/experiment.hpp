@@ -34,9 +34,8 @@ struct CrashEvent {
 
 /// Crash-recovery: `process` comes back at `at`, replays its durable
 /// store, catches the gap up from its peers, and resumes generating
-/// load (the driver restarts its Poisson source and re-subscribes its
-/// latency recorder — the old incarnation's subscriptions died with
-/// it). Implies recovery-enabled stacks (`ExperimentConfig::recovery`).
+/// load at its restart time (see `OpenLoop::start`). Implies
+/// recovery-enabled stacks (`ExperimentConfig::recovery`).
 struct RestartEvent {
   ProcessId process = kInvalidProcess;
   TimePoint at = 0;
@@ -78,13 +77,16 @@ struct ExperimentResult {
   double max_latency_ms = 0.0;
   std::size_t samples = 0;
 
-  std::size_t broadcasts_measured = 0;  // abroadcasts in the window
+  std::size_t broadcasts_measured = 0;  // abroadcasts due in the window
   std::size_t undelivered = 0;          // not delivered by all alive procs
-  bool total_order_ok = false;
+  /// First §2.1 violation (integrity, duplicate delivery, total order)
+  /// over the whole run; empty when none (see `LoadReport`).
+  std::string violation;
   bool saturated = false;  // undelivered > 0 after drain
 
-  double offered_throughput = 0.0;   // configured msgs/s
-  double achieved_throughput = 0.0;  // abroadcasts/s realized in window
+  double offered_throughput = 0.0;   // abroadcasts/s due in the window
+  double achieved_throughput = 0.0;  // abroadcasts/s called in the window
+  double gen_lag_p99_ms = 0.0;       // call time − due time (0 on the sim)
   /// Messages from the window delivered by every alive process, per
   /// second of the window — the saturation metric: equals the realized
   /// offered rate while the stack keeps up, collapses when it cannot.

@@ -1,5 +1,7 @@
 #include "workload/sweep.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -16,6 +18,18 @@ bool point_saturated(const ExperimentResult& result,
   return undelivered_frac > opt.straggler_tolerance;
 }
 
+ExperimentResult run_point(ExperimentConfig config, double rate,
+                           const SweepOptions& opt) {
+  config.throughput_msgs_per_sec = rate;
+  config.warmup = opt.warmup;
+  config.measure = opt.measure;
+  config.drain = opt.drain;
+  config.seed = opt.seed;
+  ExperimentResult r = run_experiment(config);
+  IBC_ASSERT_MSG(r.violation.empty(), r.violation.c_str());
+  return r;
+}
+
 double latency_point(std::uint32_t n, const net::NetModel& model,
                      const abcast::StackConfig& stack,
                      std::size_t payload_bytes, double throughput,
@@ -25,15 +39,76 @@ double latency_point(std::uint32_t n, const net::NetModel& model,
   cfg.model = model;
   cfg.stack = stack;
   cfg.payload_bytes = payload_bytes;
-  cfg.throughput_msgs_per_sec = throughput;
-  cfg.warmup = opt.warmup;
-  cfg.measure = opt.measure;
-  cfg.drain = opt.drain;
-  cfg.seed = opt.seed;
-  const ExperimentResult r = run_experiment(cfg);
-  IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
+  const ExperimentResult r = run_point(cfg, throughput, opt);
   if (point_saturated(r, opt)) return saturated_marker();
   return r.mean_latency_ms;
+}
+
+Knee climb_ladder(const ExperimentConfig& config,
+                  const std::vector<double>& ladder,
+                  const SweepOptions& opt) {
+  Knee knee;
+  for (const double rate : ladder) {
+    ExperimentResult r = run_point(config, rate, opt);
+    if (point_saturated(r, opt)) {
+      knee.capped = false;
+      break;
+    }
+    knee.realized_over_offered.push_back(r.achieved_throughput /
+                                         r.offered_throughput);
+    knee.at = std::move(r);
+  }
+  return knee;
+}
+
+Spread spread_of(std::vector<double> runs) {
+  IBC_REQUIRE(!runs.empty());
+  std::sort(runs.begin(), runs.end());
+  const std::size_t mid = runs.size() / 2;
+  const double median = runs.size() % 2 == 1
+                            ? runs[mid]
+                            : (runs[mid - 1] + runs[mid]) / 2.0;
+  return Spread{median, runs.front(), runs.back()};
+}
+
+void append_spread(const std::vector<double>& runs, Series& median,
+                   Series& min, Series& max) {
+  const Spread s = runs.empty() ? Spread{saturated_marker(),
+                                         saturated_marker(),
+                                         saturated_marker()}
+                                : spread_of(runs);
+  median.values.push_back(s.median);
+  min.values.push_back(s.min);
+  max.values.push_back(s.max);
+}
+
+std::string format_spread(const std::vector<double>& runs,
+                          const char* format) {
+  const Spread s = spread_of(runs);
+  const std::string f =
+      std::string(format) + " [" + format + ", " + format + "]";
+  char buf[128];
+  std::snprintf(buf, sizeof buf, f.c_str(), s.median, s.min, s.max);
+  return buf;
+}
+
+std::string format_rate_check(
+    const std::vector<std::vector<double>>& points) {
+  std::vector<double> medians, runs;
+  for (const std::vector<double>& point : points) {
+    if (point.empty()) continue;
+    medians.push_back(spread_of(point).median);
+    runs.insert(runs.end(), point.begin(), point.end());
+  }
+  if (runs.empty()) return "no drained rung";
+  const Spread m = spread_of(medians);
+  const Spread r = spread_of(runs);
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "per-point medians in [%.4f, %.4f]; single runs in "
+                "[%.4f, %.4f]",
+                m.min, m.max, r.min, r.max);
+  return buf;
 }
 
 bool parse_smoke_flag(int argc, char* const* argv) {

@@ -4,12 +4,16 @@
 // figure's x-axis, runs one simulated experiment per (x, curve) point and
 // prints a paper-style table (series.hpp). This header carries the pieces
 // every bench shares — the standard stack configurations, the
-// one-point-of-a-sweep runner over `run_experiment`, and the common CLI
-// flags — so each bench is only its sweep loop. Points whose run ends
-// with undelivered messages beyond a small straggler allowance are
-// reported as saturated ("sat."), mirroring where the paper's curves
+// one-point-of-a-sweep runner over `run_experiment`, the offered-load
+// ladder, the median and range of repeated wall-clock runs, and the
+// common CLI flags — so each bench is only its sweep loop. Points whose
+// run ends with undelivered messages beyond a small straggler allowance
+// are reported as saturated ("sat."), mirroring where the paper's curves
 // leave the plot.
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "workload/experiment.hpp"
 #include "workload/series.hpp"
@@ -31,11 +35,54 @@ struct SweepOptions {
 bool point_saturated(const ExperimentResult& result,
                      const SweepOptions& opt);
 
+/// Runs `config` at `rate` msgs/s with the phases and seed of `opt`, and
+/// asserts the §2.1 checks before returning the result.
+ExperimentResult run_point(ExperimentConfig config, double rate,
+                           const SweepOptions& opt);
+
 /// Runs one point; returns mean latency in ms, or NaN when saturated.
 double latency_point(std::uint32_t n, const net::NetModel& model,
                      const abcast::StackConfig& stack,
                      std::size_t payload_bytes, double throughput,
                      const SweepOptions& opt = {});
+
+/// One climb of an offered-load ladder (see `climb_ladder`).
+struct Knee {
+  ExperimentResult at;  // the highest rung that drained
+  bool capped = true;   // no rung saturated: `at` is a lower bound
+  /// Abroadcasts called / due in the window, per drained rung in ladder
+  /// order: near 1 unless the generator fell behind its schedule.
+  std::vector<double> realized_over_offered;
+
+  bool measured() const { return !realized_over_offered.empty(); }
+};
+
+/// Runs `config` at each rung of `ladder` in turn until one saturates.
+Knee climb_ladder(const ExperimentConfig& config,
+                  const std::vector<double>& ladder,
+                  const SweepOptions& opt);
+
+/// Median and range of one point's repeated wall-clock runs.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+Spread spread_of(std::vector<double> runs);
+
+/// Appends the median, min and max of `runs` to the three series, or
+/// the saturated marker to each when no run measured the point.
+void append_spread(const std::vector<double>& runs, Series& median,
+                   Series& min, Series& max);
+
+/// Summarizes realized/offered ratios, one vector of repeated runs per
+/// (curve, rung) point: the range of the per-point medians, then the
+/// range of the single runs.
+std::string format_rate_check(const std::vector<std::vector<double>>& points);
+
+/// "median [min, max]" of `runs`, each printed with `format` (printf).
+std::string format_spread(const std::vector<double>& runs,
+                          const char* format);
 
 /// True when `--smoke` is among the arguments — the CI-sized variant of
 /// a sweep (registered in ctest so the bench cannot bit-rot).

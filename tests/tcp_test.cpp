@@ -853,6 +853,18 @@ TEST(TcpAbcast, TotalOrderOnRealSockets) {
   EXPECT_GT(stats.consensus_rounds, 0u);
 }
 
+TEST(TcpAbcast, GarbledFrameIsCountedInClusterStats) {
+  // The facade reports what the host counted: a 4 GiB length prefix on
+  // the 1 -> 2 link shows up as one rejected frame in ClusterStats, and
+  // rank 2 lives on.
+  ibc::Cluster cluster(ibc::ClusterOptions{}.with_n(3).on_tcp());
+  auto& tcp = dynamic_cast<TcpCluster&>(cluster.host());
+  tcp.rank(1).write_raw_for_test(2, Bytes{0xFF, 0xFF, 0xFF, 0xFF});
+  wait_for([&] { return cluster.stats().frames_rejected >= 1; });
+  EXPECT_EQ(cluster.stats().frames_rejected, 1u);
+  EXPECT_FALSE(cluster.host().crashed(2));
+}
+
 // The PR's acceptance case: a healing partition programmed onto real
 // sockets. Process 1 is cut from {2,3} for a 350ms window starting
 // 50ms into the run — crossing frames (heartbeats, RB floods, consensus

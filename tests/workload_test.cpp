@@ -1,5 +1,5 @@
-// Tests for the measurement harness: the latency recorder's bookkeeping
-// and the experiment driver's determinism and sanity.
+// Tests for the measurement harness: the open-loop load, the merge of
+// its records, and the experiment driver's determinism and sanity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,59 +9,153 @@
 #include <string>
 
 #include "workload/experiment.hpp"
-#include "workload/latency.hpp"
+#include "workload/load.hpp"
 #include "workload/series.hpp"
 
 namespace ibc::workload {
 namespace {
 
-TEST(LatencyRecorder, AveragesOverAllDeliveries) {
-  LatencyRecorder rec(0, seconds(10), 2);
+using Sent = ProcessRecord::Sent;
+using Delivered = ProcessRecord::Delivered;
+
+TEST(MergeRecords, AveragesOverAllDeliveries) {
   const MessageId id{1, 1};
-  rec.on_broadcast(id, milliseconds(100));
-  rec.on_delivery(id, 1, milliseconds(101));
-  rec.on_delivery(id, 2, milliseconds(103));
-  EXPECT_EQ(rec.samples().count(), 2u);
-  EXPECT_DOUBLE_EQ(rec.samples().mean(), 2.0);  // (1ms + 3ms) / 2
+  std::vector<ProcessRecord> records(2);
+  records[0].sent = {Sent{id, milliseconds(100), milliseconds(100)}};
+  records[0].delivered = {Delivered{id, milliseconds(101)}};
+  records[1].delivered = {Delivered{id, milliseconds(103)}};
+  LoadReport r = merge_records(records, 0, seconds(10), 2);
+  EXPECT_EQ(r.latency_ms.count(), 2u);
+  EXPECT_DOUBLE_EQ(r.latency_ms.mean(), 2.0);  // (1ms + 3ms) / 2
+  EXPECT_EQ(r.violation, "");
 }
 
-TEST(LatencyRecorder, WindowFiltersByBroadcastTime) {
-  LatencyRecorder rec(seconds(1), seconds(2), 1);
+TEST(MergeRecords, LatencyAndWindowCountFromTheDueTime) {
+  // `inside` is due in the window but sent 1.5 s late, after it closed:
+  // it is offered in the window, not sent in it, and its latency and
+  // lag both count from the due time.
   const MessageId before{1, 1}, inside{1, 2}, after{1, 3};
-  rec.on_broadcast(before, milliseconds(500));
-  rec.on_broadcast(inside, milliseconds(1500));
-  rec.on_broadcast(after, milliseconds(2500));
-  rec.on_delivery(before, 1, milliseconds(501));
-  rec.on_delivery(inside, 1, milliseconds(1501));
-  rec.on_delivery(after, 1, milliseconds(2501));
-  EXPECT_EQ(rec.broadcasts_in_window(), 1u);
-  EXPECT_EQ(rec.samples().count(), 1u);
+  std::vector<ProcessRecord> records(1);
+  records[0].sent = {Sent{before, milliseconds(500), milliseconds(500)},
+                     Sent{inside, milliseconds(1500), milliseconds(3000)},
+                     Sent{after, milliseconds(2500), milliseconds(3000)}};
+  records[0].delivered = {Delivered{before, milliseconds(501)},
+                          Delivered{inside, milliseconds(3001)},
+                          Delivered{after, milliseconds(3001)}};
+  LoadReport r = merge_records(records, seconds(1), seconds(2), 1);
+  EXPECT_EQ(r.due, 1u);
+  EXPECT_EQ(r.sent, 0u);
+  ASSERT_EQ(r.latency_ms.count(), 1u);
+  EXPECT_DOUBLE_EQ(r.latency_ms.mean(), 1501.0);
+  EXPECT_DOUBLE_EQ(r.lag_p99_ms, 1500.0);
 }
 
-TEST(LatencyRecorder, UndeliveredCountsIncompleteWindowMessages) {
-  LatencyRecorder rec(0, seconds(10), 3);
+TEST(MergeRecords, UndeliveredCountsIncompleteWindowMessages) {
   const MessageId a{1, 1}, b{1, 2};
-  rec.on_broadcast(a, seconds(1));
-  rec.on_broadcast(b, seconds(2));
-  rec.on_delivery(a, 1, seconds(3));
-  rec.on_delivery(a, 2, seconds(3));
-  rec.on_delivery(a, 3, seconds(3));
-  rec.on_delivery(b, 1, seconds(4));
-  EXPECT_EQ(rec.undelivered(3), 1u);  // b reached only one process
-  EXPECT_EQ(rec.undelivered(1), 0u);  // with one alive process, complete
+  std::vector<ProcessRecord> records(3);
+  records[0].sent = {Sent{a, seconds(1), seconds(1)},
+                     Sent{b, seconds(2), seconds(2)}};
+  records[0].delivered = {Delivered{a, seconds(3)}, Delivered{b, seconds(4)}};
+  records[1].delivered = {Delivered{a, seconds(3)}};
+  records[2].delivered = {Delivered{a, seconds(3)}};
+  // b reached only one process; with one alive process, it is complete.
+  EXPECT_EQ(merge_records(records, 0, seconds(10), 3).undelivered, 1u);
+  EXPECT_EQ(merge_records(records, 0, seconds(10), 1).undelivered, 0u);
 }
 
-TEST(LatencyRecorder, DetectsTotalOrderViolation) {
-  LatencyRecorder rec(0, seconds(10), 2);
+TEST(MergeRecords, RejectsEachSafetyViolation) {
   const MessageId a{1, 1}, b{2, 1};
-  rec.on_broadcast(a, 0);
-  rec.on_broadcast(b, 0);
-  rec.on_delivery(a, 1, 1);
-  rec.on_delivery(b, 1, 2);
-  EXPECT_TRUE(rec.total_order_ok());
-  rec.on_delivery(b, 2, 1);  // p2 delivers b before a: violation
-  rec.on_delivery(a, 2, 2);
-  EXPECT_FALSE(rec.total_order_ok());
+  std::vector<ProcessRecord> records(2);
+  records[0].sent = {Sent{a, 0, 0}};
+  records[1].sent = {Sent{b, 0, 0}};
+  records[0].delivered = {Delivered{a, 1}, Delivered{b, 2}};
+  records[1].delivered = {Delivered{a, 1}};  // a prefix: fine
+  EXPECT_EQ(merge_records(records, 0, seconds(10), 2).violation, "");
+
+  auto reordered = records;
+  reordered[1].delivered = {Delivered{b, 1}, Delivered{a, 2}};
+  EXPECT_EQ(merge_records(reordered, 0, seconds(10), 2).violation.find(
+                "total order"),
+            0u);
+
+  // The duplicate is identical at every process, so only the integrity
+  // rule can catch it.
+  auto duplicated = records;
+  for (ProcessRecord& r : duplicated) {
+    r.delivered = {Delivered{a, 1}, Delivered{b, 2}, Delivered{a, 3}};
+  }
+  EXPECT_EQ(merge_records(duplicated, 0, seconds(10), 2).violation,
+            "integrity: process 1 delivered 1:1 twice");
+
+  auto invented = records;
+  invented[0].delivered.push_back(Delivered{MessageId{2, 7}, 3});
+  EXPECT_EQ(merge_records(invented, 0, seconds(10), 2).violation,
+            "integrity: process 1 delivered 2:7, which was never abroadcast");
+}
+
+TEST(OpenLoop, RestartResumesTheScheduleAtTheRestartTime) {
+  // A 1 ms constant gap on the simulator: every message goes out at its
+  // due time. p3 is down from 30.5 ms to 60.5 ms; its schedule resumes
+  // one gap after the restart, and the restarted incarnation's
+  // deliveries land in the same record.
+  Cluster cluster(ClusterOptions{}
+                      .with_n(3)
+                      .with_recovery()
+                      .with_crash(microseconds(30500), 3)
+                      .with_restart(microseconds(60500), 3)
+                      .without_delivery_log());
+  OpenLoop load(
+      cluster, [](runtime::Env&) { return milliseconds(1); }, 8,
+      milliseconds(100));
+  load.start();
+  cluster.run_for(milliseconds(300));
+  cluster.shutdown();
+
+  const std::vector<ProcessRecord::Sent>& p1 = load.record(1).sent;
+  ASSERT_EQ(p1.size(), 99u);  // due at 1, 2, ..., 99 ms
+  for (std::size_t i = 0; i < p1.size(); ++i) {
+    EXPECT_EQ(p1[i].due, milliseconds(static_cast<std::int64_t>(i) + 1));
+    EXPECT_EQ(p1[i].at, p1[i].due);
+  }
+  const std::vector<ProcessRecord::Sent>& p3 = load.record(3).sent;
+  ASSERT_EQ(p3.size(), 30u + 39u);  // 1..30 ms, then 61.5..99.5 ms
+  EXPECT_EQ(p3[29].due, milliseconds(30));
+  EXPECT_EQ(p3[30].due, microseconds(61500));
+  EXPECT_EQ(load.record(3).delivered.size(),
+            load.record(1).delivered.size());
+
+  LoadReport r = load.report(0, milliseconds(100), 3);
+  EXPECT_EQ(r.violation, "");
+  EXPECT_EQ(r.due, 99u + 99u + 69u);
+  EXPECT_EQ(r.undelivered, 0u);
+}
+
+TEST(OpenLoop, LateTimersSendEverythingAlreadyDue) {
+  // A 250 µs gap on loopback TCP: reactor timers fire up to a
+  // millisecond late, so each firing must send every message due by
+  // then. A chained timer (next send one gap after the last firing)
+  // would send a fraction of the schedule.
+  Cluster cluster(ClusterOptions{}.with_n(3).on_tcp());
+  const TimePoint stop = cluster.now() + milliseconds(200);
+  OpenLoop load(
+      cluster, [](runtime::Env&) { return microseconds(250); }, 8, stop);
+  load.start();
+  // Until the schedule ran out and its messages were delivered: a
+  // loaded (or sanitized) host may fall behind for a while.
+  cluster.run_for(milliseconds(200));
+  cluster.run_until_quiesced(milliseconds(100), seconds(20));
+  cluster.shutdown();
+
+  for (ProcessId p = 1; p <= 3; ++p) {
+    const std::vector<ProcessRecord::Sent>& sent = load.record(p).sent;
+    ASSERT_GE(sent.size(), 2u) << p;
+    EXPECT_LE(stop - sent.back().due, microseconds(250)) << p;
+    for (std::size_t i = 1; i < sent.size(); ++i) {
+      ASSERT_EQ(sent[i].due - sent[i - 1].due, microseconds(250)) << p;
+      ASSERT_GE(sent[i].at, sent[i].due) << p;
+    }
+  }
+  EXPECT_EQ(load.report(0, stop, 3).violation, "");
 }
 
 TEST(Experiment, DeterministicForFixedSeed) {
@@ -98,7 +192,7 @@ TEST(Experiment, HealthyRunDeliversEverything) {
   EXPECT_GT(r.samples, 0u);
   EXPECT_EQ(r.undelivered, 0u);
   EXPECT_FALSE(r.saturated);
-  EXPECT_TRUE(r.total_order_ok);
+  EXPECT_EQ(r.violation, "");
   EXPECT_GT(r.mean_latency_ms, 0.5);  // sane for Setup 1
   EXPECT_LT(r.mean_latency_ms, 10.0);
   // Symmetric workload: achieved ≈ offered.
@@ -139,7 +233,7 @@ TEST(Experiment, SameScenarioRunsOnBothHosts) {
     const ExperimentResult r = run_experiment(cfg);
     const char* label = host == runtime::HostKind::kSim ? "sim" : "tcp";
     EXPECT_GT(r.samples, 0u) << label;
-    EXPECT_TRUE(r.total_order_ok) << label;
+    EXPECT_EQ(r.violation, "") << label;
     EXPECT_EQ(r.undelivered, 0u) << label;
     EXPECT_GT(r.messages_sent, 0u) << label;
     EXPECT_GT(r.wire_bytes_sent, 0u) << label;
@@ -159,7 +253,7 @@ TEST(Experiment, CrashDuringWarmupStillDelivers) {
   cfg.crashes.push_back({5, seconds(1)});
   const ExperimentResult r = run_experiment(cfg);
   EXPECT_EQ(r.undelivered, 0u);
-  EXPECT_TRUE(r.total_order_ok);
+  EXPECT_EQ(r.violation, "");
 }
 
 TEST(Series, SaturatedMarkerIsNaN) {
