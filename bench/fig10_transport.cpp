@@ -107,20 +107,10 @@ int main(int argc, char** argv) {
       const std::string label = "B=" +
                                 std::to_string(static_cast<int>(b)) +
                                 ",W=" + std::to_string(w);
+      const workload::Climbs climbs = workload::climb_repeated(
+          config_for(static_cast<std::size_t>(b), w), ladder, opt, repeats);
       std::vector<double> runs, fpws, wakes, lags;
-      std::vector<std::vector<double>> rungs(ladder.size());
-      bool cell_capped = false;
-      for (int i = 0; i < repeats; ++i) {
-        workload::SweepOptions run_opt = opt;
-        run_opt.seed = opt.seed + static_cast<std::uint64_t>(i);
-        const workload::Knee k = workload::climb_ladder(
-            config_for(static_cast<std::size_t>(b), w), ladder, run_opt);
-        cell_capped = cell_capped || k.capped;
-        for (std::size_t i = 0; i < k.realized_over_offered.size(); ++i)
-          rungs[i].push_back(k.realized_over_offered[i]);
-        // A run whose *first* rung saturated measured nothing.
-        if (!k.measured()) continue;
-        const workload::ExperimentResult& r = k.at;
+      for (const workload::ExperimentResult& r : climbs.knees) {
         runs.push_back(r.delivered_throughput);
         fpws.push_back(r.frames_per_writev_avg);
         wakes.push_back(r.messages_sent == 0
@@ -129,8 +119,10 @@ int main(int argc, char** argv) {
                                   static_cast<double>(r.messages_sent));
         lags.push_back(r.gen_lag_p99_ms);
       }
-      if (cell_capped) capped += (capped.empty() ? "" : "; ") + label;
-      rate_points.insert(rate_points.end(), rungs.begin(), rungs.end());
+      if (climbs.capped) capped += (capped.empty() ? "" : "; ") + label;
+      rate_points.insert(rate_points.end(),
+                         climbs.realized_over_offered.begin(),
+                         climbs.realized_over_offered.end());
       workload::append_spread(runs, tput, lo, hi);
       const double sustained = runs.empty() ? 0.0 : tput.values.back();
       if (b == 1 && w == 1) baseline = sustained;

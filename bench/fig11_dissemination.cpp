@@ -161,25 +161,18 @@ int main(int argc, char** argv) {
     workload::Series hi{"sustained tput [msg/s] max, " + rb_name(rb), {}};
     for (const double n : tcp_ns) {
       const auto un = static_cast<std::uint32_t>(n);
+      const workload::Climbs climbs = workload::climb_repeated(
+          config_for(un, runtime::HostKind::kTcp, rb), tcp_ladder, tcp_opt,
+          repeats);
       std::vector<double> runs;
-      std::vector<std::vector<double>> rungs(tcp_ladder.size());
-      bool point_capped = false;
-      for (int i = 0; i < repeats; ++i) {
-        workload::SweepOptions run_opt = tcp_opt;
-        run_opt.seed = tcp_opt.seed + static_cast<std::uint64_t>(i);
-        const workload::Knee k = workload::climb_ladder(
-            config_for(un, runtime::HostKind::kTcp, rb), tcp_ladder,
-            run_opt);
-        point_capped = point_capped || k.capped;
-        for (std::size_t r = 0; r < k.realized_over_offered.size(); ++r)
-          rungs[r].push_back(k.realized_over_offered[r]);
-        if (!k.measured()) continue;
-        runs.push_back(k.at.delivered_throughput);
-      }
-      if (point_capped)
+      for (const workload::ExperimentResult& r : climbs.knees)
+        runs.push_back(r.delivered_throughput);
+      if (climbs.capped)
         capped += (capped.empty() ? "" : "; ") + rb_name(rb) +
                   ",n=" + std::to_string(un) + ",tcp";
-      rate_points.insert(rate_points.end(), rungs.begin(), rungs.end());
+      rate_points.insert(rate_points.end(),
+                         climbs.realized_over_offered.begin(),
+                         climbs.realized_over_offered.end());
       workload::append_spread(runs, tput, lo, hi);
     }
     tcp_tput.insert(tcp_tput.end(), {tput, lo, hi});

@@ -1,11 +1,48 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "util/assert.hpp"
 
 namespace ibc {
+
+void OnlineStats::add(double x) {
+  if (n_ == 0) {
+    min_ = max_ = x;
+  } else {
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+  ++n_;
+  const double delta = x - mean_;
+  mean_ += delta / static_cast<double>(n_);
+  m2_ += delta * (x - mean_);
+}
+
+double OnlineStats::variance() const {
+  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
+}
+
+double OnlineStats::stddev() const { return std::sqrt(variance()); }
+
+void OnlineStats::merge(const OnlineStats& other) {
+  if (other.n_ == 0) return;
+  if (n_ == 0) {
+    *this = other;
+    return;
+  }
+  const double na = static_cast<double>(n_);
+  const double nb = static_cast<double>(other.n_);
+  const double delta = other.mean_ - mean_;
+  const double total = na + nb;
+  mean_ += delta * nb / total;
+  m2_ += other.m2_ + delta * delta * na * nb / total;
+  n_ += other.n_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+}
 
 double Samples::mean() const {
   if (values_.empty()) return 0.0;

@@ -75,7 +75,6 @@ OpenLoop::OpenLoop(Cluster& cluster, GapFn gap, std::size_t payload_bytes,
       gap_(std::move(gap)),
       payload_bytes_(payload_bytes),
       stop_at_(stop_at),
-      due_(cluster.n(), 0),
       records_(cluster.n()) {}
 
 void OpenLoop::start() {
@@ -108,34 +107,42 @@ void OpenLoop::subscribe(ProcessId p) {
 /// Starts p's schedule at now. Runs like `subscribe`.
 void OpenLoop::resume(ProcessId p) {
   runtime::Env& env = cluster_.env(p);
-  const TimePoint now = env.now();
-  due_[p - 1] = now;
-  if (advance(p, env)) arm(p, env, now);
+  records_[p - 1].next_due = env.now();
+  if (advance(p, env)) arm(p, env);
 }
 
 /// Moves p's due time one gap on; false once it reaches the stop time.
 bool OpenLoop::advance(ProcessId p, runtime::Env& env) {
-  due_[p - 1] += std::max<Duration>(gap_(env), 1);
-  return due_[p - 1] < stop_at_;
+  TimePoint& due = records_[p - 1].next_due;
+  due += std::max<Duration>(gap_(env), 1);
+  return due < stop_at_;
 }
 
-void OpenLoop::arm(ProcessId p, runtime::Env& env, TimePoint now) {
-  env.set_timer(std::max<Duration>(due_[p - 1] - now, 0),
-                [this, p] { fire(p); });
+/// A message already due is sent from deferred work, not a 0-delay
+/// timer: the TCP reactor fires due timers back to back, but polls its
+/// sockets before it runs the next deferred task.
+void OpenLoop::arm(ProcessId p, runtime::Env& env) {
+  const Duration wait = records_[p - 1].next_due - env.now();
+  if (wait > 0)
+    env.set_timer(wait, [this, p] { fire(p); });
+  else
+    env.defer([this, p] { fire(p); });
 }
 
+/// Sends every message due by the time the timer woke, then re-arms.
 void OpenLoop::fire(ProcessId p) {
   runtime::Env& env = cluster_.env(p);
   ProcessRecord& record = records_[p - 1];
-  TimePoint now = env.now();
+  const TimePoint woke = env.now();
+  TimePoint at = woke;
   do {
     const MessageId id = cluster_.node(p).abcast().abroadcast(
         Bytes(payload_bytes_, static_cast<std::uint8_t>(0xA0 + p % 16)));
-    record.sent.push_back({id, due_[p - 1], now});
+    record.sent.push_back({id, record.next_due, at});
+    at = env.now();
     if (!advance(p, env)) return;
-    now = env.now();
-  } while (due_[p - 1] <= now);
-  arm(p, env, now);
+  } while (record.next_due <= woke);
+  arm(p, env);
 }
 
 }  // namespace ibc::workload

@@ -24,9 +24,9 @@
 
 namespace ibc::workload {
 
-/// What one process did, in the order it did it, across incarnations.
-/// One cache line apart from its neighbours: each record is written by
-/// its own reactor thread.
+/// What one process did, in the order it did it, across incarnations,
+/// and where its schedule stands. One cache line apart from its
+/// neighbours: each record is written by its own reactor thread.
 struct alignas(64) ProcessRecord {
   struct Sent {
     MessageId id;
@@ -39,6 +39,7 @@ struct alignas(64) ProcessRecord {
   };
   std::vector<Sent> sent;
   std::vector<Delivered> delivered;
+  TimePoint next_due = 0;  // when the schedule's next message is due
 };
 
 /// The records of a run, merged over a window [from, to) of due times.
@@ -72,7 +73,9 @@ class OpenLoop {
   /// Every process abroadcasts `payload_bytes`-byte messages, each due
   /// `gap` (at least 1 ns) after the previous one, while the due time is
   /// before `stop_at`. The gap is drawn at each (re)start and after each
-  /// abroadcast.
+  /// abroadcast. Each wake-up sends what was due when it woke and
+  /// re-arms, so a generator that falls behind still lets its reactor
+  /// poll between bursts.
   OpenLoop(Cluster& cluster, GapFn gap, std::size_t payload_bytes,
            TimePoint stop_at);
   OpenLoop(const OpenLoop&) = delete;
@@ -97,14 +100,13 @@ class OpenLoop {
   void subscribe(ProcessId p);
   void resume(ProcessId p);
   bool advance(ProcessId p, runtime::Env& env);
-  void arm(ProcessId p, runtime::Env& env, TimePoint now);
+  void arm(ProcessId p, runtime::Env& env);
   void fire(ProcessId p);
 
   Cluster& cluster_;
   GapFn gap_;
   std::size_t payload_bytes_;
   TimePoint stop_at_;
-  std::vector<TimePoint> due_;  // [p - 1]: p's next due time
   std::vector<ProcessRecord> records_;
 };
 

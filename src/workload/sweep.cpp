@@ -1,6 +1,7 @@
 #include "workload/sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -61,6 +62,24 @@ Knee climb_ladder(const ExperimentConfig& config,
   return knee;
 }
 
+Climbs climb_repeated(const ExperimentConfig& config,
+                      const std::vector<double>& ladder,
+                      const SweepOptions& opt, int repeats) {
+  Climbs out;
+  out.realized_over_offered.resize(ladder.size());
+  for (int i = 0; i < repeats; ++i) {
+    SweepOptions run_opt = opt;
+    run_opt.seed = opt.seed + static_cast<std::uint64_t>(i);
+    Knee k = climb_ladder(config, ladder, run_opt);
+    out.capped = out.capped || k.capped;
+    for (std::size_t r = 0; r < k.realized_over_offered.size(); ++r)
+      out.realized_over_offered[r].push_back(k.realized_over_offered[r]);
+    // A climb whose *first* rung saturated measured nothing.
+    if (k.measured()) out.knees.push_back(std::move(k.at));
+  }
+  return out;
+}
+
 Spread spread_of(std::vector<double> runs) {
   IBC_REQUIRE(!runs.empty());
   std::sort(runs.begin(), runs.end());
@@ -101,13 +120,20 @@ std::string format_rate_check(
     runs.insert(runs.end(), point.begin(), point.end());
   }
   if (runs.empty()) return "no drained rung";
+  const auto off = [](const std::vector<double>& v) {
+    return std::count_if(v.begin(), v.end(), [](double x) {
+      return std::abs(x - 1.0) > 0.01;
+    });
+  };
   const Spread m = spread_of(medians);
   const Spread r = spread_of(runs);
-  char buf[160];
+  char buf[256];
   std::snprintf(buf, sizeof buf,
-                "per-point medians in [%.4f, %.4f]; single runs in "
-                "[%.4f, %.4f]",
-                m.min, m.max, r.min, r.max);
+                "per-point medians in [%.4f, %.4f], %td of %zu off by more "
+                "than 1%%; single runs in [%.4f, %.4f], %td of %zu off by "
+                "more than 1%%",
+                m.min, m.max, off(medians), medians.size(), r.min, r.max,
+                off(runs), runs.size());
   return buf;
 }
 

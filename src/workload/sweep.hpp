@@ -62,6 +62,21 @@ Knee climb_ladder(const ExperimentConfig& config,
                   const std::vector<double>& ladder,
                   const SweepOptions& opt);
 
+/// Repeated climbs of one ladder (see `climb_repeated`).
+struct Climbs {
+  std::vector<ExperimentResult> knees;  // one per climb that drained a rung
+  bool capped = false;  // some climb sustained the whole ladder
+  /// Per rung, in ladder order: realized/offered of every climb that
+  /// drained it.
+  std::vector<std::vector<double>> realized_over_offered;
+};
+
+/// Climbs `ladder` `repeats` times, the i-th climb seeded opt.seed + i:
+/// wall-clock points spread from run to run.
+Climbs climb_repeated(const ExperimentConfig& config,
+                      const std::vector<double>& ladder,
+                      const SweepOptions& opt, int repeats);
+
 /// Median and range of one point's repeated wall-clock runs.
 struct Spread {
   double median = 0.0;
@@ -77,7 +92,7 @@ void append_spread(const std::vector<double>& runs, Series& median,
 
 /// Summarizes realized/offered ratios, one vector of repeated runs per
 /// (curve, rung) point: the range of the per-point medians, then the
-/// range of the single runs.
+/// range of the single runs, each with how many are off by more than 1%.
 std::string format_rate_check(const std::vector<std::vector<double>>& points);
 
 /// "median [min, max]" of `runs`, each printed with `format` (printf).
